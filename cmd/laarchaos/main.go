@@ -60,7 +60,7 @@ func main() {
 		instances  = flag.Int("instances", 2, "exhaustive mode: controller instances in the explored world")
 		statesMax  = flag.Int("states-max", 0, "exhaustive mode: visited-state cap (0 = unlimited); hitting it reports a truncated search")
 		inject     = flag.String("inject", "none", "exhaustive mode: deliberate kernel bug to inject: none | crash-keeps-pending | claim-adopts-seen | dup-reapplies | deactivate-first")
-		migration  = flag.Bool("migration", false, "exhaustive mode: model staged primary-swap migrations (two-wave flips advanced by flip-step events)")
+		migration  = flag.Bool("migration", false, "exhaustive mode: model staged primary-swap migrations (two-wave flips run by each leader's controller, waves advanced by acknowledged deliveries)")
 		shrink     = flag.Bool("shrink", false, "model mode: ddmin-shrink the first failing schedule to a minimal reproducer")
 		reproOut   = flag.String("repro", "", "write the (shrunk) violating schedule to this JSON artifact")
 		replayPath = flag.String("replay", "", "replay a repro artifact written by -repro and exit")

@@ -60,23 +60,18 @@ type ControllerResult struct {
 // Err returns nil when every control-plane invariant held and a descriptive
 // error otherwise.
 func (cr *ControllerResult) Err() error {
+	q := &ModelResult{
+		DupEpochs: cr.DupEpochs, Leader: cr.Leader, Epoch: cr.Epoch, BelievedLeaders: cr.BelievedLeaders,
+		PendingCommands: int(cr.PendingCommands), AppliedConfig: cr.AppliedConfig,
+		ActiveMismatches: cr.ActiveMismatches, EpochLags: cr.EpochLags, FailSafeExpected: cr.FailSafeExpected,
+		FailSafeObserved: cr.FailSafeObserved, FailSafeCleared: cr.FailSafeCleared,
+	}
+	for _, c := range quiescenceChecks {
+		if c.failed(q) {
+			return fmt.Errorf("chaos: %s (%s)", c.msg(q), cr.Schedule.Describe())
+		}
+	}
 	switch {
-	case len(cr.DupEpochs) > 0:
-		return fmt.Errorf("chaos: lease epochs %v granted more than once (%s)", cr.DupEpochs, cr.Schedule.Describe())
-	case cr.Leader < 0:
-		return fmt.Errorf("chaos: no controller leads at quiescence (%s)", cr.Schedule.Describe())
-	case len(cr.BelievedLeaders) != 1:
-		return fmt.Errorf("chaos: instances %v all believe they lead at quiescence (%s)", cr.BelievedLeaders, cr.Schedule.Describe())
-	case cr.PendingCommands != 0:
-		return fmt.Errorf("chaos: %d activation commands still unacknowledged at quiescence (%s)", cr.PendingCommands, cr.Schedule.Describe())
-	case len(cr.ActiveMismatches) > 0:
-		return fmt.Errorf("chaos: replica activations %v disagree with configuration %d (%s)", cr.ActiveMismatches, cr.AppliedConfig, cr.Schedule.Describe())
-	case len(cr.EpochLags) > 0:
-		return fmt.Errorf("chaos: replicas %v follow stale ballots at quiescence, leader epoch %d (%s)", cr.EpochLags, cr.Epoch, cr.Schedule.Describe())
-	case cr.FailSafeExpected && !cr.FailSafeObserved:
-		return fmt.Errorf("chaos: control plane dark past the fail-safe horizon but no replica engaged the fail-safe (%s)", cr.Schedule.Describe())
-	case !cr.FailSafeCleared:
-		return fmt.Errorf("chaos: fail-safe still engaged at quiescence with a live leader (%s)", cr.Schedule.Describe())
 	case len(cr.SplitBrain) > 0:
 		return fmt.Errorf("chaos: split-brain at quiescence on PEs %v (%s)", cr.SplitBrain, cr.Schedule.Describe())
 	case len(cr.DarkPEs) > 0:
@@ -123,21 +118,10 @@ func Controller(sc Scenario) (*ControllerResult, error) {
 	}
 	sched.Glitch = 0
 
-	fc := live.NewFakeClock(time.Unix(0, 0))
-	net := live.NewNetFault(0)
-	rt, err := live.New(sys.Desc, sys.Asg, sys.Strat,
-		func(core.ComponentID, int) live.Operator {
-			return live.OperatorFunc(func(t live.Tuple) []any { return []any{t.Data} })
-		},
-		live.Config{
-			QueueLen:        256,
-			MonitorInterval: liveMonitor,
-			InitialConfig:   sched.Trace.ConfigAt(0),
-			Clock:           fc,
-			Transport:       net,
-			Controllers:     sc.Controllers,
-			FailSafeHorizon: ctrlFailSafeHorizon,
-		})
+	rt, fc, net, err := newLive(sys, sched, live.Config{
+		Controllers:     sc.Controllers,
+		FailSafeHorizon: ctrlFailSafeHorizon,
+	})
 	if err != nil {
 		return nil, err
 	}

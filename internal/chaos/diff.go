@@ -64,6 +64,20 @@ const liveQuantum = 100 * time.Millisecond
 // engine's default monitor interval.
 const liveMonitor = time.Second
 
+// newLive builds the echo-operator live runtime a harness leg drives, on a
+// fake clock and a fault-injecting transport, with cfg's queue, monitor
+// period and initial configuration set to the harness's.
+func newLive(sys *System, sched *Schedule, cfg live.Config) (*live.Runtime, *live.FakeClock, *live.NetFault, error) {
+	fc, net := live.NewFakeClock(time.Unix(0, 0)), live.NewNetFault(0)
+	cfg.QueueLen, cfg.MonitorInterval, cfg.InitialConfig = 256, liveMonitor, sched.Trace.ConfigAt(0)
+	cfg.Clock, cfg.Transport = fc, net
+	rt, err := live.New(sys.Desc, sys.Asg, sys.Strat,
+		func(core.ComponentID, int) live.Operator {
+			return live.OperatorFunc(func(t live.Tuple) []any { return []any{t.Data} })
+		}, cfg)
+	return rt, fc, net, err
+}
+
 // Diff runs one scenario differentially: a fixed identity pipeline (unit
 // selectivity, negligible cost, so the live operators compute exactly what
 // the engine's fluid model predicts) is deployed on both runtimes and
@@ -219,14 +233,7 @@ func pipelineSystem(duration float64) (*System, []core.ComponentID, error) {
 // two-wave IC-safe migration protocol (strategy fixed — the solver stays
 // off so both legs drive the same activation patterns).
 func runLiveLeg(sys *System, ids []core.ComponentID, sched *Schedule, duration float64, staged bool) (sunk int64, primaries []int, migrations []live.MigrationRecord, err error) {
-	fc := live.NewFakeClock(time.Unix(0, 0))
-	net := live.NewNetFault(0)
 	cfg := live.Config{
-		QueueLen:        256,
-		MonitorInterval: liveMonitor,
-		InitialConfig:   sched.Trace.ConfigAt(0),
-		Clock:           fc,
-		Transport:       net,
 		// The engine leg has no replica-side fail-safe for data-plane
 		// partitions, so the live leg must not unfence stale primaries
 		// past the horizon either — the legs would diverge under long
@@ -236,11 +243,7 @@ func runLiveLeg(sys *System, ids []core.ComponentID, sched *Schedule, duration f
 	if staged {
 		cfg.Resolve = &live.ResolveConfig{StageOnly: true}
 	}
-	rt, err := live.New(sys.Desc, sys.Asg, sys.Strat,
-		func(core.ComponentID, int) live.Operator {
-			return live.OperatorFunc(func(t live.Tuple) []any { return []any{t.Data} })
-		},
-		cfg)
+	rt, fc, net, err := newLive(sys, sched, cfg)
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -325,14 +325,20 @@ func migrationFloorErr(rates *core.Rates, fromCfg, toCfg int, old, mid, new [][]
 			}
 		}
 	}
+	return patternFloorErr(rates, fromCfg, toCfg, old, mid, new)
+}
+
+// patternFloorErr checks pattern p's IC against the weaker migration
+// endpoint's in both configurations; a negative configuration is skipped.
+func patternFloorErr(rates *core.Rates, fromCfg, toCfg int, old, p, new [][]bool) error {
 	for _, cfg := range [2]int{fromCfg, toCfg} {
 		if cfg < 0 {
 			continue
 		}
-		icMid := core.ConfigPatternIC(rates, cfg, mid)
+		ic := core.ConfigPatternIC(rates, cfg, p)
 		floor := math.Min(core.ConfigPatternIC(rates, cfg, old), core.ConfigPatternIC(rates, cfg, new))
-		if icMid < floor-1e-9 {
-			return fmt.Errorf("union IC %.6f below endpoint floor %.6f in configuration %d", icMid, floor, cfg)
+		if ic < floor-1e-9 {
+			return fmt.Errorf("pattern IC %.6f below endpoint floor %.6f in configuration %d", ic, floor, cfg)
 		}
 	}
 	return nil

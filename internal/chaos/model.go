@@ -3,10 +3,8 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"laar/internal/controlplane"
-	"laar/internal/core"
 	"laar/internal/engine"
 )
 
@@ -86,28 +84,10 @@ type ModelResult struct {
 // one violation for another unnoticed.
 func (mr *ModelResult) Err() error {
 	var errs []error
-	if len(mr.DupEpochs) > 0 {
-		errs = append(errs, fmt.Errorf("chaos model: lease epochs %v claimed more than once", mr.DupEpochs))
-	}
-	if mr.Leader < 0 {
-		errs = append(errs, fmt.Errorf("chaos model: no instance leads at quiescence"))
-	} else if len(mr.BelievedLeaders) != 1 {
-		errs = append(errs, fmt.Errorf("chaos model: instances %v all believe they lead at quiescence", mr.BelievedLeaders))
-	}
-	if mr.PendingCommands != 0 {
-		errs = append(errs, fmt.Errorf("chaos model: %d commands still unacknowledged at quiescence", mr.PendingCommands))
-	}
-	if len(mr.ActiveMismatches) > 0 {
-		errs = append(errs, fmt.Errorf("chaos model: activations %v disagree with configuration %d", mr.ActiveMismatches, mr.AppliedConfig))
-	}
-	if len(mr.EpochLags) > 0 {
-		errs = append(errs, fmt.Errorf("chaos model: proxies %v follow stale ballots, leader epoch %d", mr.EpochLags, mr.Epoch))
-	}
-	if mr.FailSafeExpected && !mr.FailSafeObserved {
-		errs = append(errs, fmt.Errorf("chaos model: control plane dark past the horizon but the fail-safe never engaged"))
-	}
-	if !mr.FailSafeCleared {
-		errs = append(errs, fmt.Errorf("chaos model: fail-safe still engaged at quiescence"))
+	for _, c := range quiescenceChecks {
+		if c.failed(mr) {
+			errs = append(errs, fmt.Errorf("chaos model: %s", c.msg(mr)))
+		}
 	}
 	for _, v := range mr.StepViolations {
 		errs = append(errs, fmt.Errorf("chaos model state invariant: %w", v))
@@ -122,18 +102,13 @@ func (mr *ModelResult) Err() error {
 	return fmt.Errorf("%w (%s)", errors.Join(errs...), desc)
 }
 
-// modelInstance is one controller instance of the model: the three
-// leader-side machines plus liveness, and — for the reconfig classes — the
-// staged-migration wave machine with the endpoints of the migration it is
-// currently driving.
+// modelInstance is one controller instance of the model: its Controller
+// (staged for the reconfig classes) and rate monitor, its liveness, and the
+// configurations of the migration it is currently driving.
 type modelInstance struct {
-	up    bool
-	elect *controlplane.LeaseElector
-	seqr  *controlplane.CommandSequencer
-	mon   *controlplane.RateMonitor
-
-	msq            *controlplane.MigrationSequencer
-	migOld, migNew [][]bool
+	up             bool
+	ctl            *controlplane.Controller
+	mon            *controlplane.RateMonitor
 	migFrom, migTo int
 }
 
@@ -142,21 +117,7 @@ type modelInstance struct {
 // with an activation bit, transport is perfect except where the schedule
 // cuts it, and time is the step counter — so the run is a pure function of
 // the scenario and executes in microseconds.
-func Model(sc Scenario) (*ModelResult, error) {
-	sc = sc.withDefaults()
-	if err := sc.validate(); err != nil {
-		return nil, err
-	}
-	sys, err := BuildSystem(sc)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := BuildSchedule(sc, sys)
-	if err != nil {
-		return nil, err
-	}
-	return modelRun(sc, sys, sched)
-}
+func Model(sc Scenario) (*ModelResult, error) { return modelRun(sc, nil) }
 
 // ModelReplay replays a provided schedule — typically one pruned by a
 // shrinker or loaded from a serialized repro artifact — against the
@@ -164,7 +125,11 @@ func Model(sc Scenario) (*ModelResult, error) {
 // schedule's derived facts (last-clear time, blackout window) are
 // recomputed from its events, so a schedule whose events were edited keeps
 // its invariant expectations consistent.
-func ModelReplay(sc Scenario, sched *Schedule) (*ModelResult, error) {
+func ModelReplay(sc Scenario, sched *Schedule) (*ModelResult, error) { return modelRun(sc, sched) }
+
+// modelRun is the shared pure step loop of Model and ModelReplay; a nil
+// schedule is built from the scenario's seed.
+func modelRun(sc Scenario, sched *Schedule) (*ModelResult, error) {
 	sc = sc.withDefaults()
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -173,12 +138,13 @@ func ModelReplay(sc Scenario, sched *Schedule) (*ModelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched.Renormalize(sc.Controllers, sc.Duration)
-	return modelRun(sc, sys, sched)
-}
-
-// modelRun is the shared pure step loop of Model and ModelReplay.
-func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
+	if sched == nil {
+		if sched, err = BuildSchedule(sc, sys); err != nil {
+			return nil, err
+		}
+	} else {
+		sched.Renormalize(sc.Controllers, sc.Duration)
+	}
 	forceActivationFlips(sys)
 
 	numPEs, repK := sys.Asg.NumPEs(), sys.Asg.K
@@ -190,26 +156,16 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 	maxCfg := sys.Rates.MaxConfig()
 	policy := controlplane.RetryPolicy{Min: modelRetryMin, Max: modelRetryMax}
 
-	staged := reconfigClass(sc.Class)
-	newInst := func(id int, now int64) *modelInstance {
-		inst := &modelInstance{
-			up:    true,
-			elect: controlplane.NewLeaseElector(id, numCtrl, modelLeaseTTL, now),
-			seqr:  controlplane.NewCommandSequencer(numPEs, repK, policy),
-			mon:   controlplane.NewRateMonitor(cfgRates, maxCfg),
-		}
-		if staged {
-			inst.msq = controlplane.NewMigrationSequencer(numPEs, repK)
-			inst.migOld = newModelPattern(numPEs, repK)
-			inst.migNew = newModelPattern(numPEs, repK)
-			inst.migFrom, inst.migTo = -1, -1
-		}
-		return inst
-	}
-
 	insts := make([]*modelInstance, numCtrl)
 	for i := range insts {
-		insts[i] = newInst(i, 0)
+		insts[i] = &modelInstance{
+			up: true,
+			ctl: controlplane.NewController(
+				controlplane.NewLeaseElector(i, numCtrl, modelLeaseTTL, 0),
+				controlplane.NewCommandSequencer(numPEs, repK, policy),
+				reconfigClass(sc.Class)),
+			mon: controlplane.NewRateMonitor(cfgRates, maxCfg),
+		}
 	}
 	cut := make([][]bool, numCtrl)
 	for i := range cut {
@@ -241,9 +197,9 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 		v.Now = now
 		for i, inst := range insts {
 			v.Instances[i] = CPInstanceView{
-				Up: inst.up, Leading: inst.elect.Leading(),
-				Epoch: inst.elect.Epoch(), MaxSeen: inst.elect.MaxSeen(),
-				SeqEpoch: inst.seqr.Epoch(), Pending: inst.seqr.Pending(),
+				Up: inst.up, Leading: inst.ctl.Lease.Leading(),
+				Epoch: inst.ctl.Lease.Epoch(), MaxSeen: inst.ctl.Lease.MaxSeen(),
+				SeqEpoch: inst.ctl.Seq.Epoch(), Pending: inst.ctl.Seq.Pending(),
 			}
 		}
 		copy(v.Proxies, proxies)
@@ -260,33 +216,16 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 		res.StepViolations = append(res.StepViolations, Violation{Invariant: name, Err: err})
 	}
 
-	// Staged-migration planning: beginStaged starts (or supersedes) one
-	// leader's two-wave migration between two configurations' patterns,
-	// mirroring the live runtime's stageSwitch — a migration still in flight
-	// folds its wanted slots into the old pattern, so the handover never
-	// commands down a slot the superseded plan still needs. fromCfg < 0 is
-	// the claim re-plan: the migration starts from the empty pattern, so a
-	// fresh leader activates and confirms everything the applied pattern
-	// needs before its scan deactivates anything. The planned triple is
-	// audited against the IC floor on the spot.
+	// Staged-migration bookkeeping: every migration a leader plans — a
+	// configuration switch, or the claim re-plan from the empty pattern
+	// (fromCfg < 0) — is counted and its planned triple audited against
+	// the IC floor on the spot.
 	curPat := newModelPattern(numPEs, repK)
-	beginStaged := func(inst *modelInstance, fromCfg, toCfg int, now int64) {
-		inflight := inst.msq.InFlight()
-		for pe := 0; pe < numPEs; pe++ {
-			for k := 0; k < repK; k++ {
-				o := false
-				if fromCfg >= 0 {
-					o = sys.Strat.IsActive(fromCfg, pe, k) || (inflight && inst.msq.Want(pe, k))
-				}
-				inst.migOld[pe][k] = o
-				inst.migNew[pe][k] = sys.Strat.IsActive(toCfg, pe, k)
-			}
-		}
+	planned := func(inst *modelInstance, fromCfg, toCfg int, now int64) {
 		inst.migFrom, inst.migTo = fromCfg, toCfg
-		inst.msq.Begin(inst.migOld, inst.migNew)
 		res.Migrations++
-		mid := controlplane.Union(nil, inst.migOld, inst.migNew)
-		if err := migrationFloorErr(sys.Rates, fromCfg, toCfg, inst.migOld, mid, inst.migNew); err != nil {
+		old, new := inst.ctl.Old(), inst.ctl.New()
+		if err := migrationFloorErr(sys.Rates, fromCfg, toCfg, old, controlplane.Union(nil, old, new), new); err != nil {
 			recordStep("ic-floor-during-migration", fmt.Errorf("step %d (cfg %d→%d): %w", now, fromCfg, toCfg, err))
 		}
 	}
@@ -308,12 +247,8 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 				if ev.Host < numCtrl {
 					inst := insts[ev.Host]
 					inst.up = false
-					if inst.elect.Leading() {
-						inst.elect.StepDown()
-						inst.seqr.DropPending()
-						if inst.msq != nil {
-							inst.msq.Abort()
-						}
+					if inst.ctl.Lease.Leading() {
+						inst.ctl.StepDown()
 					}
 				}
 			case engine.ControllerRecover:
@@ -344,8 +279,8 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 				if i == j || !dst.up || cut[i][j] {
 					continue
 				}
-				dst.elect.HearPeer(i, now)
-				dst.elect.Observe(src.elect.MaxSeen())
+				dst.ctl.Lease.HearPeer(i, now)
+				dst.ctl.Lease.Observe(src.ctl.Lease.MaxSeen())
 			}
 		}
 
@@ -354,32 +289,22 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 			if !inst.up {
 				continue
 			}
-			switch inst.elect.Evaluate(now) {
-			case controlplane.LeaseClaim:
-				if inst.elect.Leading() {
-					res.Reclaims++
-				}
-				epoch := inst.elect.Claim()
-				if seen[epoch] {
-					res.DupEpochs = append(res.DupEpochs, epoch)
-				}
-				seen[epoch] = true
-				res.Epochs = append(res.Epochs, epoch)
-				inst.seqr.BeginEpoch(epoch)
-				inst.mon.SetApplied(applied)
-				if inst.msq != nil {
-					// The claim reset the command table, so the fresh leader
-					// cannot vouch for any slot: re-plan convergence as a
-					// migration from the empty pattern, activating first.
-					inst.msq.Abort()
-					beginStaged(inst, -1, applied, now)
-				}
-			case controlplane.LeaseYield:
-				inst.elect.StepDown()
-				inst.seqr.DropPending()
-				if inst.msq != nil {
-					inst.msq.Abort()
-				}
+			leading := inst.ctl.Lease.Leading()
+			epoch := inst.ctl.Evaluate(now, sys.Strat, applied)
+			if epoch == 0 {
+				continue
+			}
+			if leading {
+				res.Reclaims++
+			}
+			if seen[epoch] {
+				res.DupEpochs = append(res.DupEpochs, epoch)
+			}
+			seen[epoch] = true
+			res.Epochs = append(res.Epochs, epoch)
+			inst.mon.SetApplied(applied)
+			if inst.ctl.Staged() {
+				planned(inst, -1, applied, now)
 			}
 		}
 
@@ -393,10 +318,11 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 			for s, r := range cfgRates[cfgNow] {
 				inst.mon.Accumulate(s, r*dt)
 			}
-			if atBoundary && inst.elect.Leading() {
+			if atBoundary && inst.ctl.Lease.Leading() {
 				if cfg := inst.mon.Scan(1.0); cfg != inst.mon.Applied() {
-					if inst.msq != nil {
-						beginStaged(inst, inst.mon.Applied(), cfg, now)
+					if inst.ctl.Staged() {
+						inst.ctl.Switch(sys.Strat, inst.mon.Applied(), sys.Strat, cfg)
+						planned(inst, inst.mon.Applied(), cfg, now)
 					}
 					inst.mon.SetApplied(cfg)
 					applied = cfg
@@ -407,52 +333,35 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 		// Leading instances drive the command protocol against the proxies.
 		anyLeader := false
 		for _, inst := range insts {
-			if !inst.up || !inst.elect.Leading() {
+			if !inst.up || !inst.ctl.Lease.Leading() {
 				continue
 			}
 			anyLeader = true
 			wantCfg := inst.mon.Applied()
 			for pe := 0; pe < numPEs; pe++ {
 				for k := 0; k < repK; k++ {
-					want := sys.Strat.IsActive(wantCfg, pe, k)
-					staging := inst.msq != nil && inst.msq.InFlight()
-					if staging {
-						want = inst.msq.Want(pe, k)
-						if !want && inst.msq.Wave() == controlplane.WaveActivate {
-							// No deactivation leaves the leader until every
-							// slot of the activation wave is confirmed.
-							continue
-						}
-					}
-					cmd, send, _ := inst.seqr.Step(pe, k, want, now)
+					cmd, send, _ := inst.ctl.Command(pe, k, sys.Strat.IsActive(wantCfg, pe, k), now)
 					if send {
 						p := &proxies[pe*repK+k]
 						switch p.Admit(cmd.Epoch, cmd.Seq) {
 						case controlplane.CmdApplied:
 							active[pe*repK+k] = cmd.Active
-							inst.seqr.Acked(pe, k)
+							fallthrough
 						case controlplane.CmdDuplicate:
-							inst.seqr.Acked(pe, k)
+							inst.ctl.Seq.Acked(pe, k)
 						case controlplane.CmdStale:
 							// NACK: the replica reports its adopted ballot; the
 							// deposed leader re-claims above it next step.
-							inst.elect.Observe(p.Epoch)
-							inst.seqr.Failed(pe, k, now)
+							inst.ctl.Lease.Observe(p.Epoch)
+							inst.ctl.Seq.Failed(pe, k, now)
 						}
 					}
-					if staging {
-						// A slot converged to the wave's want — whether by the
-						// ack just applied or an earlier one — feeds the wave
-						// machine; the last confirmation advances the wave.
-						if act, known := inst.seqr.AckedState(pe, k); known && act == want {
-							if inst.msq.Applied(pe, k, act) && !inst.msq.InFlight() {
-								res.MigrationCycles++
-							}
-						}
+					if inst.ctl.Confirm(pe, k) {
+						res.MigrationCycles++
 					}
 				}
 			}
-			if inst.msq != nil && inst.msq.InFlight() {
+			if inst.ctl.InFlight() {
 				// Between the waves the deployment runs the live pattern, not
 				// either endpoint: audit the actual activation state against
 				// the migration's IC floor at every intermediate step.
@@ -461,18 +370,8 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 						curPat[pe][k] = active[pe*repK+k]
 					}
 				}
-				for _, cfg := range [2]int{inst.migFrom, inst.migTo} {
-					if cfg < 0 {
-						continue
-					}
-					icNow := core.ConfigPatternIC(sys.Rates, cfg, curPat)
-					floor := math.Min(core.ConfigPatternIC(sys.Rates, cfg, inst.migOld),
-						core.ConfigPatternIC(sys.Rates, cfg, inst.migNew))
-					if icNow < floor-1e-9 {
-						recordStep("ic-floor-during-migration",
-							fmt.Errorf("step %d: live pattern IC %.6f below endpoint floor %.6f in configuration %d",
-								now, icNow, floor, cfg))
-					}
+				if err := patternFloorErr(sys.Rates, inst.migFrom, inst.migTo, inst.ctl.Old(), curPat, inst.ctl.New()); err != nil {
+					recordStep("ic-floor-during-migration", fmt.Errorf("step %d: live %w", now, err))
 				}
 			}
 		}
@@ -495,17 +394,17 @@ func modelRun(sc Scenario, sys *System, sched *Schedule) (*ModelResult, error) {
 
 	res.Leader, res.Epoch = -1, 0
 	for i, inst := range insts {
-		if inst.up && inst.elect.Leading() {
+		if inst.up && inst.ctl.Lease.Leading() {
 			res.BelievedLeaders = append(res.BelievedLeaders, i)
-			if res.Leader < 0 || inst.elect.Epoch() > res.Epoch {
-				res.Leader, res.Epoch = i, inst.elect.Epoch()
+			if res.Leader < 0 || inst.ctl.Lease.Epoch() > res.Epoch {
+				res.Leader, res.Epoch = i, inst.ctl.Lease.Epoch()
 			}
 		}
 	}
 	res.FailSafeCleared = !failSafe.Engaged()
 	if res.Leader >= 0 {
 		leader := insts[res.Leader]
-		res.PendingCommands = leader.seqr.Pending()
+		res.PendingCommands = leader.ctl.Seq.Pending()
 		res.AppliedConfig = leader.mon.Applied()
 		for pe := 0; pe < numPEs; pe++ {
 			for k := 0; k < repK; k++ {

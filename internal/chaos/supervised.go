@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"laar/internal/core"
 	"laar/internal/engine"
 	"laar/internal/live"
 )
@@ -71,24 +70,13 @@ func Supervised(sc Scenario) (*SupervisedResult, error) {
 	}
 	sched.Glitch = 0
 
-	fc := live.NewFakeClock(time.Unix(0, 0))
-	net := live.NewNetFault(0)
-	rt, err := live.New(sys.Desc, sys.Asg, sys.Strat,
-		func(core.ComponentID, int) live.Operator {
-			return live.OperatorFunc(func(t live.Tuple) []any { return []any{t.Data} })
-		},
-		live.Config{
-			QueueLen:        256,
-			MonitorInterval: liveMonitor,
-			InitialConfig:   sched.Trace.ConfigAt(0),
-			Clock:           fc,
-			Transport:       net,
-			Supervise:       true,
-			// Supervised runs assert the pre-fail-safe election semantics:
-			// a replica cut from the controller must stay fenced however
-			// long the partition lasts, as the engine model has it.
-			FailSafeHorizon: -1,
-		})
+	rt, fc, net, err := newLive(sys, sched, live.Config{
+		Supervise: true,
+		// Supervised runs assert the pre-fail-safe election semantics:
+		// a replica cut from the controller must stay fenced however
+		// long the partition lasts, as the engine model has it.
+		FailSafeHorizon: -1,
+	})
 	if err != nil {
 		return nil, err
 	}

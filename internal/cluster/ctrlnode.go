@@ -8,19 +8,18 @@ import (
 	"laar/internal/netx"
 )
 
-// ctrlNode is one controller process: the lease elector decides whether
-// it leads, and while it does, the command sequencer drives every
-// replica slot toward the target activation over the hosts' dialed
-// connections. Everything protocol-critical lives in the controlplane
-// kernel; this file is transport glue.
+// ctrlNode is one controller process: its controlplane.Controller decides
+// whether it leads, and while it does, commands every replica slot toward
+// the target activation over the hosts' dialed connections. Everything
+// protocol-critical lives in the controlplane kernel; this file is
+// transport glue.
 type ctrlNode struct {
 	spec NodeSpec
 
-	mu      sync.Mutex
-	elector *controlplane.LeaseElector
-	seq     *controlplane.CommandSequencer
-	cfg     int
-	cfgSeq  uint64
+	mu     sync.Mutex
+	ctl    *controlplane.Controller
+	cfg    int
+	cfgSeq uint64
 
 	// hostPeer is the current inbound connection of each host (commands
 	// ride it in reverse); hostInc the host's last known incarnation.
@@ -37,9 +36,11 @@ func newCtrlNode(spec NodeSpec) *ctrlNode {
 	tickNs := (time.Duration(spec.TickMs) * time.Millisecond).Nanoseconds()
 	ttlNs := (time.Duration(spec.LeaseTTLMs) * time.Millisecond).Nanoseconds()
 	c := &ctrlNode{
-		spec:     spec,
-		elector:  controlplane.NewLeaseElector(spec.Index, spec.Top.Controllers, ttlNs, now),
-		seq:      controlplane.NewCommandSequencer(spec.Top.PEs, spec.Top.Replicas, controlplane.RetryPolicy{Min: 2 * tickNs, Max: 16 * tickNs}),
+		spec: spec,
+		ctl: controlplane.NewController(
+			controlplane.NewLeaseElector(spec.Index, spec.Top.Controllers, ttlNs, now),
+			controlplane.NewCommandSequencer(spec.Top.PEs, spec.Top.Replicas, controlplane.RetryPolicy{Min: 2 * tickNs, Max: 16 * tickNs}),
+			false),
 		cfg:      1, // default target: every replica active
 		hostPeer: make(map[int]*netx.Peer),
 		hostInc:  make(map[int]uint64),
@@ -48,7 +49,7 @@ func newCtrlNode(spec NodeSpec) *ctrlNode {
 	// A restarted controller lost its elector state; the floor keeps it
 	// from reclaiming an epoch some incarnation of the cluster already
 	// held.
-	c.elector.Observe(spec.BallotFloor)
+	c.ctl.Lease.Observe(spec.BallotFloor)
 	for j := range c.peers {
 		if j == spec.Index || j >= len(spec.CtrlAddrs) || spec.CtrlAddrs[j] == "" {
 			continue
@@ -91,13 +92,13 @@ func (c *ctrlNode) handle(p *netx.Peer, typ byte, payload []byte) {
 			// name the in-flight command exactly — a host's re-ack of a
 			// duplicate carries the last applied sequence and must not
 			// complete a newer command still in flight.
-			if c.elector.Leading() {
-				c.seq.AckedMatch(a.PE, a.K, a.Epoch, a.Seq)
+			if c.ctl.Lease.Leading() {
+				c.ctl.Seq.AckedMatch(a.PE, a.K, a.Epoch, a.Seq)
 			}
 		} else {
 			// NACK: a replica has adopted a higher ballot. Observing it
 			// makes the next Evaluate re-claim above it.
-			c.elector.Observe(a.Adopted)
+			c.ctl.Lease.Observe(a.Adopted)
 		}
 		c.mu.Unlock()
 	case MTCtrlBeat:
@@ -107,8 +108,8 @@ func (c *ctrlNode) handle(p *netx.Peer, typ byte, payload []byte) {
 		}
 		c.mu.Lock()
 		if b.ID >= 0 && b.ID < c.spec.Top.Controllers {
-			c.elector.HearPeer(b.ID, time.Now().UnixNano())
-			c.elector.Observe(b.MaxSeen)
+			c.ctl.Lease.HearPeer(b.ID, time.Now().UnixNano())
+			c.ctl.Lease.Observe(b.MaxSeen)
 			if b.CfgSeq > c.cfgSeq {
 				c.cfg, c.cfgSeq = b.Cfg, b.CfgSeq
 			}
@@ -140,7 +141,7 @@ func (c *ctrlNode) noteIncarnation(host int, inc uint64) {
 	}
 	c.hostInc[host] = inc
 	if known {
-		c.spec.Top.Slots(host, func(pe, k int) { c.seq.ResetSlot(pe, k) })
+		c.spec.Top.Slots(host, func(pe, k int) { c.ctl.Seq.ResetSlot(pe, k) })
 	}
 }
 
@@ -162,26 +163,18 @@ func (c *ctrlNode) peerGone(p *netx.Peer) {
 func (c *ctrlNode) tick(now time.Time) {
 	n := now.UnixNano()
 	c.mu.Lock()
-	switch c.elector.Evaluate(n) {
-	case controlplane.LeaseClaim:
-		epoch := c.elector.Claim()
-		c.seq.BeginEpoch(epoch)
-	case controlplane.LeaseYield:
-		c.elector.StepDown()
-		c.seq.DropPending()
-	}
+	c.ctl.Evaluate(n, nil, c.cfg) // unstaged: a claim plans no migration
 
 	type outCmd struct {
 		peer *netx.Peer
 		msg  CommandMsg
 	}
 	var out []outCmd
-	if c.elector.Leading() {
+	if c.ctl.Lease.Leading() {
 		top := c.spec.Top
 		for pe := 0; pe < top.PEs; pe++ {
 			for k := 0; k < top.Replicas; k++ {
-				want := WantActive(c.cfg, k)
-				cmd, send, _ := c.seq.Step(pe, k, want, n)
+				cmd, send, _ := c.ctl.Command(pe, k, WantActive(c.cfg, k), n)
 				if !send {
 					continue
 				}
@@ -191,15 +184,15 @@ func (c *ctrlNode) tick(now time.Time) {
 				}
 				// Sent or not, schedule the retransmission; an ack
 				// cancels it, anything else retries with backoff.
-				c.seq.Failed(pe, k, n)
+				c.ctl.Seq.Failed(pe, k, n)
 			}
 		}
 	}
 	beat := CtrlBeat{
 		ID:      c.spec.Index,
-		MaxSeen: c.elector.MaxSeen(),
-		Epoch:   c.elector.Epoch(),
-		Leading: c.elector.Leading(),
+		MaxSeen: c.ctl.Lease.MaxSeen(),
+		Epoch:   c.ctl.Lease.Epoch(),
+		Leading: c.ctl.Lease.Leading(),
 		Cfg:     c.cfg,
 		CfgSeq:  c.cfgSeq,
 	}
@@ -224,10 +217,10 @@ func (c *ctrlNode) stats() StatsResp {
 	defer c.mu.Unlock()
 	return StatsResp{Ctrl: &CtrlStats{
 		ID:      c.spec.Index,
-		Leading: c.elector.Leading(),
-		Epoch:   c.elector.Epoch(),
-		MaxSeen: c.elector.MaxSeen(),
-		Pending: c.seq.Pending(),
+		Leading: c.ctl.Lease.Leading(),
+		Epoch:   c.ctl.Lease.Epoch(),
+		MaxSeen: c.ctl.Lease.MaxSeen(),
+		Pending: c.ctl.Seq.Pending(),
 		Cfg:     c.cfg,
 		CfgSeq:  c.cfgSeq,
 	}}

@@ -34,13 +34,11 @@ type LeaseAction int
 const (
 	// LeaseHold: no transition — keep the current role.
 	LeaseHold LeaseAction = iota
-	// LeaseClaim: take (or re-take) the lease under a fresh ballot. The
-	// caller invokes Claim and performs its claim side effects (resetting
-	// its sequencer, inheriting the applied configuration, recording the
-	// grant).
+	// LeaseClaim: take (or re-take) the lease under a fresh ballot (see
+	// Controller.Claim).
 	LeaseClaim
-	// LeaseYield: a lower-id peer is fresh — step down. The caller invokes
-	// StepDown and drops its pending commands.
+	// LeaseYield: a lower-id peer is fresh — step down (see
+	// Controller.StepDown).
 	LeaseYield
 )
 

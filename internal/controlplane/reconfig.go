@@ -1,9 +1,8 @@
 package controlplane
 
-// Live reconfiguration: the pure planning and sequencing machinery that
-// turns a strategy diff (two per-(PE, replica) activation patterns) into an
-// ordered flip plan whose every intermediate state preserves the internal-
-// completeness floor.
+// Live reconfiguration: the pure wave machinery that drives a strategy
+// diff (two per-(PE, replica) activation patterns) so that every
+// intermediate state preserves the internal-completeness floor.
 //
 // The ordering invariant is two global waves: first every activation, then
 // every deactivation. Between the waves the live pattern is the union of
@@ -15,42 +14,6 @@ package controlplane
 // intermediate step can dip below the weaker endpoint, which is the
 // ic-floor-during-migration invariant the chaos and model checkers verify.
 // Activate-before-deactivate per PE follows a fortiori from the wave order.
-
-// FlipOp is one replica-slot activation flip of a reconfiguration plan.
-type FlipOp struct {
-	PE, K    int
-	Activate bool
-}
-
-// ReconfigPlanner computes ordered flip plans from activation-pattern
-// diffs. The zero value is ready; the op buffer is reused across calls, so
-// a returned plan is only valid until the next Plan.
-type ReconfigPlanner struct {
-	ops []FlipOp
-}
-
-// Plan returns the ordered flips that transform pattern old into pattern
-// new (both indexed [pe][k]): all activations first, then all
-// deactivations, each group in (PE, replica) order. Slots equal in both
-// patterns produce no op; an empty plan means the patterns already match.
-func (p *ReconfigPlanner) Plan(old, new [][]bool) []FlipOp {
-	p.ops = p.ops[:0]
-	for pe := range new {
-		for k := range new[pe] {
-			if new[pe][k] && !old[pe][k] {
-				p.ops = append(p.ops, FlipOp{PE: pe, K: k, Activate: true})
-			}
-		}
-	}
-	for pe := range new {
-		for k := range new[pe] {
-			if !new[pe][k] && old[pe][k] {
-				p.ops = append(p.ops, FlipOp{PE: pe, K: k, Activate: false})
-			}
-		}
-	}
-	return p.ops
-}
 
 // Union writes old ∪ new into dst (allocating when dst is nil or misshaped)
 // and returns it: the pattern live between the two waves.
@@ -93,11 +56,11 @@ const (
 type MigrationSequencer struct {
 	numPEs, k int
 	old       []bool // pattern before the migration, flattened pe*k+k
+	est       []bool // slots of old known to be active
 	target    []bool // pattern the migration establishes
 	need      []bool // slots awaiting confirmation in the current wave
 	needN     int
 	wave      int
-	began     bool
 }
 
 // NewMigrationSequencer builds a sequencer over numPEs × k replica slots.
@@ -107,6 +70,7 @@ func NewMigrationSequencer(numPEs, k int) *MigrationSequencer {
 		numPEs: numPEs,
 		k:      k,
 		old:    make([]bool, n),
+		est:    make([]bool, n),
 		target: make([]bool, n),
 		need:   make([]bool, n),
 		wave:   WaveIdle,
@@ -114,23 +78,29 @@ func NewMigrationSequencer(numPEs, k int) *MigrationSequencer {
 }
 
 // Begin starts migrating from pattern old to pattern new (both [pe][k]).
-// A migration already in flight is superseded: its current union becomes
-// the old pattern of the new migration, so no still-needed slot is ever
-// commanded down by the handover. Begin with equal patterns completes
+// From idle, every slot of old is taken to be active. A migration already
+// in flight is superseded instead: its current union becomes the old
+// pattern of the new migration, so no still-needed slot is ever commanded
+// down by the handover, but only the slots it has confirmed active count
+// as active — a slot whose activation was still unconfirmed is awaited
+// again if the new pattern needs it. Begin with equal patterns completes
 // immediately (InFlight stays false, Want reports the new pattern).
 func (m *MigrationSequencer) Begin(old, new [][]bool) {
 	for pe := 0; pe < m.numPEs; pe++ {
 		for k := 0; k < m.k; k++ {
 			i := pe*m.k + k
-			o := old[pe][k]
-			if m.wave == WaveActivate {
+			o, e := old[pe][k], old[pe][k]
+			switch m.wave {
+			case WaveActivate:
 				o = o || m.target[i]
+				e = m.est[i] || (m.target[i] && !m.need[i])
+			case WaveDeactivate:
+				e = m.target[i]
 			}
-			m.old[i] = o
+			m.old[i], m.est[i] = o, e
 			m.target[i] = new[pe][k]
 		}
 	}
-	m.began = true
 	m.startWave(WaveActivate)
 }
 
@@ -142,7 +112,7 @@ func (m *MigrationSequencer) startWave(wave int) {
 		for i := range m.need {
 			var n bool
 			if wave == WaveActivate {
-				n = m.target[i] && !m.old[i]
+				n = m.target[i] && !m.est[i]
 			} else {
 				n = m.old[i] && !m.target[i]
 			}

@@ -10,38 +10,6 @@ func pat(rows ...[2]bool) [][]bool {
 	return p
 }
 
-func TestReconfigPlannerOrdersActivationsFirst(t *testing.T) {
-	old := pat([2]bool{true, false}, [2]bool{true, true}, [2]bool{false, true})
-	new := pat([2]bool{true, true}, [2]bool{true, false}, [2]bool{true, false})
-	var p ReconfigPlanner
-	ops := p.Plan(old, new)
-	want := []FlipOp{
-		{PE: 0, K: 1, Activate: true},
-		{PE: 2, K: 0, Activate: true},
-		{PE: 1, K: 1, Activate: false},
-		{PE: 2, K: 1, Activate: false},
-	}
-	if len(ops) != len(want) {
-		t.Fatalf("got %d ops %v, want %d", len(ops), ops, len(want))
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("op %d = %v, want %v", i, ops[i], want[i])
-		}
-	}
-	seenDeact := false
-	for _, op := range ops {
-		if !op.Activate {
-			seenDeact = true
-		} else if seenDeact {
-			t.Fatal("activation ordered after a deactivation")
-		}
-	}
-	if got := p.Plan(old, old); len(got) != 0 {
-		t.Fatalf("identical patterns planned %v", got)
-	}
-}
-
 func TestUnion(t *testing.T) {
 	old := pat([2]bool{true, false}, [2]bool{false, false})
 	new := pat([2]bool{false, true}, [2]bool{false, true})

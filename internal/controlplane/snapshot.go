@@ -222,6 +222,112 @@ func (s *CommandSequencer) Superseded(pe, k int, want bool) bool {
 	return sl.pending && sl.acked == wantAck
 }
 
+// MigrationSnapshot is the complete externalised state of a
+// MigrationSequencer (the shape is a construction constant).
+type MigrationSnapshot struct {
+	Old, Est, Target, Need []bool
+	NeedN, Wave            int
+}
+
+// SnapshotInto writes the sequencer's state into s, reusing its buffers.
+func (m *MigrationSequencer) SnapshotInto(s *MigrationSnapshot) {
+	s.Old = append(s.Old[:0], m.old...)
+	s.Est = append(s.Est[:0], m.est...)
+	s.Target = append(s.Target[:0], m.target...)
+	s.Need = append(s.Need[:0], m.need...)
+	s.NeedN, s.Wave = m.needN, m.wave
+}
+
+// Restore overwrites the sequencer's state from a snapshot of the same
+// shape. The snapshot's slices are copied, not aliased.
+func (m *MigrationSequencer) Restore(s MigrationSnapshot) {
+	copy(m.old, s.Old)
+	copy(m.est, s.Est)
+	copy(m.target, s.Target)
+	copy(m.need, s.Need)
+	m.needN, m.wave = s.NeedN, s.Wave
+}
+
+// Hash mixes the sequencer's canonical state: the wave and the target and,
+// while a migration is in flight, the old pattern, its known-active slots
+// and the confirmations awaited. An idle sequencer's old pattern is dead
+// state — Begin overwrites it before reading — so idle sequencers with
+// equal targets hash equal.
+func (m *MigrationSequencer) Hash(f *Fingerprint) {
+	f.I64(int64(m.wave))
+	for _, t := range m.target {
+		f.Bool(t)
+	}
+	if m.wave == WaveIdle {
+		return
+	}
+	for i := range m.old {
+		f.Bool(m.old[i])
+		f.Bool(m.est[i])
+		f.Bool(m.need[i])
+	}
+}
+
+// ControllerSnapshot is the complete externalised state of a Controller:
+// its machines' snapshots (Mig is unused unless the instance is staged).
+// The pattern scratch is not part of it — it is only read right after the
+// Switch or Claim that fills it.
+type ControllerSnapshot struct {
+	Lease LeaseSnapshot
+	Seq   SequencerSnapshot
+	Mig   MigrationSnapshot
+}
+
+// SnapshotInto writes the instance's state into s, reusing its buffers.
+func (c *Controller) SnapshotInto(s *ControllerSnapshot) {
+	c.Lease.SnapshotInto(&s.Lease)
+	c.Seq.SnapshotInto(&s.Seq)
+	if c.mig != nil {
+		c.mig.SnapshotInto(&s.Mig)
+	}
+}
+
+// Restore overwrites the instance's state from a snapshot.
+func (c *Controller) Restore(s ControllerSnapshot) {
+	c.Lease.Restore(s.Lease)
+	c.Seq.Restore(s.Seq)
+	if c.mig != nil {
+		c.mig.Restore(s.Mig)
+	}
+}
+
+// Hash mixes the instance's canonical state at time now: its machines'
+// hashes in elector, sequencer, migration order.
+func (c *Controller) Hash(f *Fingerprint, now int64) {
+	c.Lease.Hash(f, now)
+	c.Seq.Hash(f, now)
+	if c.mig != nil {
+		c.mig.Hash(f)
+	}
+}
+
+// WouldCommand reports, without side effects, what Command(pe, k, want,
+// now) followed by Confirm(pe, k) would do — the enabledness predicate an
+// exhaustive explorer uses for command events. send reports a command
+// would be transmitted; bookkeep that only bookkeeping would happen:
+// clearing a superseded command, or confirming a slot already acknowledged
+// in the state the migration wave awaits.
+func (c *Controller) WouldCommand(pe, k int, want bool, now int64) (send, bookkeep bool) {
+	w, hold := c.want(pe, k, want)
+	if !hold {
+		superseded := c.Seq.Superseded(pe, k, w)
+		if c.Seq.WouldSend(pe, k, w, now) || (c.mig != nil && superseded) {
+			return true, false
+		}
+		bookkeep = superseded
+	}
+	if c.InFlight() && c.mig.need[pe*c.mig.k+k] {
+		act, known := c.Seq.AckedState(pe, k)
+		bookkeep = bookkeep || (known && act == (c.mig.wave == WaveActivate))
+	}
+	return false, bookkeep
+}
+
 // Hash mixes the proxy's idempotency state.
 func (p ProxyState) Hash(f *Fingerprint) {
 	f.U64(p.Epoch)

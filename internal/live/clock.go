@@ -1,9 +1,9 @@
 package live
 
 import (
-	"sort"
-	"sync"
 	"time"
+
+	"laar/internal/clock"
 )
 
 // Clock abstracts the time source of the runtime: heartbeat stamps,
@@ -20,122 +20,10 @@ type Clock interface {
 }
 
 // Ticker is the clock-agnostic counterpart of time.Ticker.
-type Ticker struct {
-	// C delivers ticks.
-	C <-chan time.Time
-	// stop releases the ticker's resources.
-	stop func()
-}
+type Ticker = clock.Ticker
 
-// Stop turns the ticker off. No more ticks are delivered after Stop
-// returns (fake tickers) or shortly after (wall tickers, as with
-// time.Ticker).
-func (t *Ticker) Stop() { t.stop() }
-
-// wallClock is the production clock backed by package time.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
-func (wallClock) NewTicker(d time.Duration) *Ticker {
-	tk := time.NewTicker(d)
-	return &Ticker{C: tk.C, stop: tk.Stop}
-}
-
-// FakeClock is a manually advanced Clock for deterministic tests and chaos
-// runs. Time only moves when Advance is called; tickers fire in timestamp
-// order as the clock sweeps past their deadlines. Tick delivery is
-// non-blocking on a 1-slot channel: a receiver that has not drained its
-// previous tick coalesces the missed ones, exactly as time.Ticker does.
-//
-// Advance briefly yields the processor after each delivered tick so the
-// goroutines woken by the tick get scheduled before the clock moves again;
-// this keeps heartbeat/election behaviour stable without making the fake
-// clock depend on wall-clock timing.
-type FakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	tickers []*fakeTicker
-}
-
-type fakeTicker struct {
-	ch     chan time.Time
-	period time.Duration
-	next   time.Time
-	done   bool
-}
+// FakeClock is a manually advanced Clock (see clock.Fake).
+type FakeClock = clock.Fake
 
 // NewFakeClock returns a fake clock starting at the given origin.
-func NewFakeClock(origin time.Time) *FakeClock {
-	return &FakeClock{now: origin}
-}
-
-// Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// NewTicker implements Clock. The first tick is due one period from the
-// current fake time.
-func (c *FakeClock) NewTicker(d time.Duration) *Ticker {
-	if d <= 0 {
-		panic("live: non-positive fake ticker period")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ft := &fakeTicker{ch: make(chan time.Time, 1), period: d, next: c.now.Add(d)}
-	c.tickers = append(c.tickers, ft)
-	return &Ticker{C: ft.ch, stop: func() {
-		c.mu.Lock()
-		ft.done = true
-		c.mu.Unlock()
-	}}
-}
-
-// Advance moves the fake clock forward by d, firing every due ticker in
-// timestamp order (ties broken by ticker creation order).
-func (c *FakeClock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("live: advancing fake clock backwards")
-	}
-	c.mu.Lock()
-	target := c.now.Add(d)
-	for {
-		due := c.dueTickers(target)
-		if len(due) == 0 {
-			break
-		}
-		c.now = due[0].next
-		for _, ft := range due {
-			if !ft.next.Equal(c.now) {
-				break // later deadline: re-collect after re-arming this batch
-			}
-			select {
-			case ft.ch <- c.now:
-			default:
-			}
-			ft.next = ft.next.Add(ft.period)
-		}
-		// Let the receivers run before time moves again.
-		c.mu.Unlock()
-		time.Sleep(50 * time.Microsecond)
-		c.mu.Lock()
-	}
-	c.now = target
-	c.mu.Unlock()
-}
-
-// dueTickers returns the live tickers due at or before target, earliest
-// deadline first. Callers hold c.mu.
-func (c *FakeClock) dueTickers(target time.Time) []*fakeTicker {
-	var due []*fakeTicker
-	for _, ft := range c.tickers {
-		if !ft.done && !ft.next.After(target) {
-			due = append(due, ft)
-		}
-	}
-	sort.SliceStable(due, func(a, b int) bool { return due[a].next.Before(due[b].next) })
-	return due
-}
+func NewFakeClock(origin time.Time) *FakeClock { return clock.NewFake(origin) }

@@ -14,32 +14,22 @@ import (
 // activation-command protocol, and the replica-side fail-safe rule.
 //
 // The decision logic itself — the lease rule, ballot arithmetic, command
-// sequencing/dedup and rate measurement — lives in the runtime-agnostic
-// internal/controlplane machines, shared with the discrete-event engine.
-// This file is the live driver: each instance owns one LeaseElector, one
-// CommandSequencer and one RateMonitor, all touched only by the instance's
-// own goroutine. Cross-goroutine inputs (peer heartbeats, ballot gossip,
-// command NACKs) land in atomic mailboxes and are drained into the
-// machines at the top of each tick; decisions the machines return are
-// shipped over the Transport, and the resulting role/epoch is published
-// back into atomics for concurrent observers (Leader, ControllerStats).
+// sequencing/dedup, migration waves and rate measurement — lives in the
+// runtime-agnostic internal/controlplane machines. This file is the live
+// driver: each instance owns one controlplane.Controller and one
+// RateMonitor, both touched only by the instance's own goroutine.
+// Cross-goroutine inputs (peer heartbeats, ballot gossip, command NACKs)
+// land in atomic mailboxes and are drained into the machines at the top of
+// each tick; commands the machines issue are shipped over the Transport,
+// and the resulting role/epoch is published back into atomics for
+// concurrent observers (Leader, ControllerStats).
 //
-// Leadership is decentralised: every alive instance heartbeats its peers
-// over the Transport each monitor tick, and an instance holds the lease
-// exactly when it has heard no lower-id peer within Config.LeaseTTL. Claims
-// carry ballot epochs packed (counter << 8) | id — no two instances can
-// claim the same epoch, and every claim is strictly above all ballots the
-// claimant has seen, so replicas can arbitrate concurrent leaders by epoch
-// alone. A leader that learns of a higher ballot (via peer gossip or a
-// command NACK) re-claims above it; on a healed partition the lowest-id
-// instance therefore always wins.
-//
-// Only the lease holder issues activation commands. Commands are (epoch,
-// seq, active) triples sent over the Transport and individually
-// acknowledged; the replica proxy adopts higher epochs, deduplicates
-// sequence numbers within an epoch (a lost ack costs only a retransmission)
-// and NACKs stale ballots. Unacknowledged commands are retransmitted with
-// capped exponential backoff between CommandRetryMin and CommandRetryMax.
+// Every alive instance heartbeats its peers over the Transport each
+// monitor tick, and the lowest-id instance heard within Config.LeaseTTL
+// holds the lease. Only the lease holder issues activation commands:
+// (epoch, seq, active) triples, individually acknowledged by the replica
+// proxy and retransmitted with capped exponential backoff between
+// CommandRetryMin and CommandRetryMax.
 
 // ControllerEndpoint returns the transport endpoint of HAController
 // instance i. Instance 0 sits at ControllerHost — the endpoint that also
@@ -116,20 +106,14 @@ type controller struct {
 	beats [][]atomic.Int64
 
 	// The controlplane machines and measurement state below are touched
-	// only by the instance's own goroutine.
-	elect    *controlplane.LeaseElector
-	seqr     *controlplane.CommandSequencer
+	// only by the instance's own goroutine. ctl is staged exactly when
+	// Config.Resolve is set; solver is the instance's own incremental
+	// solver (nil unless Resolve is set without StageOnly).
+	ctl      *controlplane.Controller
 	mon      *controlplane.RateMonitor
 	measured []float64 // mon's reusable buffer; refreshed in place
 	lastSwap time.Time
-
-	// Staged-migration state (Config.Resolve): the wave machine, the
-	// instance's own incremental solver (nil with StageOnly) and the
-	// pattern scratch buffers. All nil/unused unless Resolve is set, and
-	// touched only by the instance's own goroutine.
-	msq            *controlplane.MigrationSequencer
-	solver         *ftsearch.Solver
-	oldPat, newPat [][]bool
+	solver   *ftsearch.Solver
 
 	commandsSent    atomic.Int64
 	commandsAcked   atomic.Int64
@@ -150,11 +134,13 @@ func newController(id, numPEs, k, peers int, rates [][]float64, maxCfg, initialC
 		endpoint:  ControllerEndpoint(id),
 		lastHeard: make([]atomic.Int64, peers),
 		beats:     make([][]atomic.Int64, numPEs),
-		elect:     controlplane.NewLeaseElector(id, peers, int64(cfg.LeaseTTL), now.UnixNano()),
-		seqr: controlplane.NewCommandSequencer(numPEs, k, controlplane.RetryPolicy{
-			Min: int64(cfg.CommandRetryMin),
-			Max: int64(cfg.CommandRetryMax),
-		}),
+		ctl: controlplane.NewController(
+			controlplane.NewLeaseElector(id, peers, int64(cfg.LeaseTTL), now.UnixNano()),
+			controlplane.NewCommandSequencer(numPEs, k, controlplane.RetryPolicy{
+				Min: int64(cfg.CommandRetryMin),
+				Max: int64(cfg.CommandRetryMax),
+			}),
+			cfg.Resolve != nil),
 		mon:      controlplane.NewRateMonitor(rates, maxCfg),
 		lastSwap: now,
 	}
@@ -177,36 +163,21 @@ func raise(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// stepDown drops the lease and the pending commands (acknowledged state is
-// kept — the next claim resets the whole table). Only the instance's own
-// goroutine calls it.
-func (c *controller) stepDown() {
-	c.elect.StepDown()
+// demote publishes a step-down: the instance no longer leads and its
+// pending commands are dropped.
+func (c *controller) demote() {
 	c.leader.Store(false)
-	c.seqr.DropPending()
 	c.pendingN.Store(0)
-	if c.msq != nil {
-		// Drop any in-flight migration plan: the successor re-plans from its
-		// own applied view. The union pattern this instance may have left
-		// behind dominates both endpoints, so the IC floor survives the
-		// handover.
-		c.msq.Abort()
-	}
 }
 
-// claim takes the lease for c under a fresh ballot, strictly above every
-// ballot the instance has seen. The command table resets, so a new leader
-// re-establishes every replica's activation state from scratch rather than
-// trusting acks granted to a predecessor; the applied configuration is
-// inherited so leadership changes alone never flap the configuration.
-func (rt *Runtime) claim(c *controller, now time.Time) {
-	epoch := c.elect.Claim()
+// claimed publishes instance c's claim of ballot epoch and records the
+// grant. The applied configuration is inherited, so leadership changes
+// alone never flap the configuration.
+func (rt *Runtime) claimed(c *controller, epoch uint64, applied int, now time.Time) {
 	c.epoch.Store(epoch)
 	raise(&c.maxSeen, epoch)
-	c.seqr.BeginEpoch(epoch)
 	c.pendingN.Store(0)
-	c.mon.SetApplied(int(rt.applied.Load()))
-	rt.beginClaimMigration(c)
+	c.mon.SetApplied(applied)
 	c.leader.Store(true)
 	rt.leaseMu.Lock()
 	rt.leases = append(rt.leases, LeaseGrant{Epoch: epoch, Controller: c.id, Time: now})
@@ -233,7 +204,8 @@ func (rt *Runtime) runController(c *controller) {
 func (rt *Runtime) ctrlTick(c *controller, now time.Time) {
 	if !c.alive.Load() {
 		if c.leader.Load() {
-			c.stepDown() // a crashed leader's goroutine goes inert
+			c.ctl.StepDown() // a crashed leader's goroutine goes inert
+			c.demote()
 		}
 		return
 	}
@@ -257,18 +229,18 @@ func (rt *Runtime) ctrlTick(c *controller, now time.Time) {
 	// Drain the mailboxes into the elector and evaluate the lease rule.
 	for j := range c.lastHeard {
 		if j != c.id {
-			c.elect.HearPeer(j, c.lastHeard[j].Load())
+			c.ctl.Lease.HearPeer(j, c.lastHeard[j].Load())
 		}
 	}
-	c.elect.Observe(c.maxSeen.Load())
-	switch c.elect.Evaluate(nowNs) {
-	case controlplane.LeaseYield:
-		c.stepDown()
-	case controlplane.LeaseClaim:
-		rt.claim(c, now)
+	c.ctl.Lease.Observe(c.maxSeen.Load())
+	applied := int(rt.applied.Load())
+	if epoch := c.ctl.Evaluate(nowNs, rt.Strategy(), applied); epoch != 0 {
+		rt.claimed(c, epoch, applied, now)
+	} else if c.leader.Load() && !c.ctl.Lease.Leading() {
+		c.demote()
 	}
 	c.measure(rt, now)
-	if c.elect.Leading() {
+	if c.ctl.Lease.Leading() {
 		rt.ctrlScan(c, now)
 	}
 }
@@ -298,14 +270,14 @@ func (c *controller) measure(rt *Runtime, now time.Time) {
 // configuration, drive every replica's activation state to it through the
 // ack'd command protocol, refresh elections, and supervise. Under staged
 // migration (Config.Resolve) a configuration switch first re-solves the
-// strategy and begins a two-wave plan; the scan then drives the migration
-// sequencer's wanted states instead of the strategy's, and feeds confirmed
-// slots back so the sequencer advances its waves.
+// strategy and begins a two-wave plan; the Controller then commands the
+// wave's wanted states instead of the strategy's, and every confirmed slot
+// advances the waves.
 func (rt *Runtime) ctrlScan(c *controller, now time.Time) {
-	strat := rt.curStrategy()
+	strat := rt.Strategy()
 	cfg := c.mon.Select(c.measured)
 	if cfg != c.mon.Applied() {
-		if c.msq != nil {
+		if c.ctl.Staged() {
 			strat = rt.stageSwitch(c, c.mon.Applied(), cfg, now)
 		}
 		c.mon.SetApplied(cfg)
@@ -313,21 +285,9 @@ func (rt *Runtime) ctrlScan(c *controller, now time.Time) {
 	}
 	nowNs := now.UnixNano()
 	applied := c.mon.Applied()
-	staging := c.msq != nil && c.msq.InFlight()
 	for pe := range rt.replicas {
 		for k, rep := range rt.replicas[pe] {
-			want := strat.IsActive(applied, pe, k)
-			if staging {
-				want = c.msq.Want(pe, k)
-				if !want && c.msq.Wave() == controlplane.WaveActivate {
-					// No deactivation command leaves the leader until every
-					// slot of the activation wave is confirmed — even for
-					// slots outside both patterns, whose table state a fresh
-					// epoch cannot vouch for.
-					continue
-				}
-			}
-			cmd, send, retry := c.seqr.Step(pe, k, want, nowNs)
+			cmd, send, retry := c.ctl.Command(pe, k, strat.IsActive(applied, pe, k), nowNs)
 			if send {
 				c.commandsSent.Add(1)
 				if retry {
@@ -335,22 +295,17 @@ func (rt *Runtime) ctrlScan(c *controller, now time.Time) {
 				}
 				if rt.deliverCommand(c, rep, cmd) {
 					c.commandsAcked.Add(1)
-					c.seqr.Acked(pe, k)
+					c.ctl.Seq.Acked(pe, k)
 				} else {
-					c.seqr.Failed(pe, k, nowNs)
+					c.ctl.Seq.Failed(pe, k, nowNs)
 				}
 			}
-			if staging {
-				if act, known := c.seqr.AckedState(pe, k); known && act == want {
-					if c.msq.Applied(pe, k, act) && !c.msq.InFlight() {
-						c.migCycles.Add(1)
-					}
-					staging = c.msq.InFlight()
-				}
+			if c.ctl.Confirm(pe, k) {
+				c.migCycles.Add(1)
 			}
 		}
 	}
-	c.pendingN.Store(int64(c.seqr.Pending()))
+	c.pendingN.Store(int64(c.ctl.Seq.Pending()))
 	rt.electAllAs(c, now)
 	if rt.cfg.Supervise {
 		rt.supervise(now)

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"laar/internal/clock"
 	"laar/internal/controlplane"
 	"laar/internal/core"
 )
@@ -132,7 +133,7 @@ func (c Config) withDefaults() Config {
 		c.HeartbeatTimeout = 3 * c.MonitorInterval
 	}
 	if c.Clock == nil {
-		c.Clock = wallClock{}
+		c.Clock = clock.Wall{}
 	}
 	if c.Transport == nil {
 		c.Transport = perfectTransport{}
@@ -450,7 +451,7 @@ func New(d *core.Descriptor, asg *core.Assignment, strat *core.Strategy, factory
 	// The initial lease is granted to instance 0 synchronously, so the
 	// runtime is never leaderless at Start and a single-controller
 	// deployment behaves exactly as the pre-replication runtime did.
-	rt.claim(rt.ctrls[0], now)
+	rt.claimed(rt.ctrls[0], rt.ctrls[0].ctl.Claim(strat, cfg.InitialConfig), cfg.InitialConfig, now)
 	rt.electAllAs(rt.ctrls[0], now)
 	return rt, nil
 }

@@ -14,8 +14,8 @@ import (
 // incremental FT-Search solver — warm-started from the previous solution
 // and shifted to the rates its own Rate Monitor measured — and then drives
 // the replica set from the old activation pattern to the new one through
-// the acknowledged command protocol in two waves, sequenced by a
-// controlplane.MigrationSequencer: every replica the new pattern adds is
+// the acknowledged command protocol in two waves, sequenced by the
+// instance's staged controlplane.Controller: every replica the new pattern adds is
 // commanded active and individually acknowledged before any replica only
 // the old pattern used is commanded inactive. Between the waves the live
 // pattern is the old ∪ new union, whose per-configuration IC dominates
@@ -61,13 +61,10 @@ type MigrationRecord struct {
 	WarmStart    bool
 }
 
-// curStrategy returns the activation strategy currently driven — the one
-// handed to New until a re-solve replaces it.
-func (rt *Runtime) curStrategy() *core.Strategy { return rt.strat.Load() }
-
 // Strategy returns the activation strategy the control plane currently
-// drives. Safe for concurrent use.
-func (rt *Runtime) Strategy() *core.Strategy { return rt.curStrategy() }
+// drives — the one handed to New until a re-solve replaces it. Safe for
+// concurrent use.
+func (rt *Runtime) Strategy() *core.Strategy { return rt.strat.Load() }
 
 // MigrationHistory returns every staged migration decided so far, in
 // decision order. Empty unless Config.Resolve is set.
@@ -79,14 +76,6 @@ func (rt *Runtime) MigrationHistory() []MigrationRecord {
 	return out
 }
 
-func newPattern(numPEs, k int) [][]bool {
-	p := make([][]bool, numPEs)
-	for pe := range p {
-		p[pe] = make([]bool, k)
-	}
-	return p
-}
-
 func clonePattern(p [][]bool) [][]bool {
 	out := make([][]bool, len(p))
 	for pe := range p {
@@ -95,20 +84,15 @@ func clonePattern(p [][]bool) [][]bool {
 	return out
 }
 
-// initResolve equips every controller instance for staged migration: its
-// own migration sequencer and pattern scratch and — unless StageOnly — its
-// own incremental solver, so each instance's incumbent and caches are
+// initResolve equips every controller instance with its own incremental
+// solver (none with StageOnly), so each instance's incumbent and caches are
 // touched only from its own goroutine.
 func (rt *Runtime) initResolve(r *core.Rates) error {
 	rc := rt.cfg.Resolve
-	numPEs := rt.d.App.NumPEs()
+	if rc.StageOnly {
+		return nil
+	}
 	for _, c := range rt.ctrls {
-		c.msq = controlplane.NewMigrationSequencer(numPEs, rt.asg.K)
-		c.oldPat = newPattern(numPEs, rt.asg.K)
-		c.newPat = newPattern(numPEs, rt.asg.K)
-		if rc.StageOnly {
-			continue
-		}
 		sv, err := ftsearch.NewSolver(r, rt.asg, ftsearch.SolverConfig{
 			Opts:          ftsearch.Options{ICMin: rc.ICMin},
 			ResolveBudget: rc.Budget,
@@ -169,12 +153,10 @@ func (rt *Runtime) resolveAs(c *controller, toCfg int) *ftsearch.Result {
 // stageSwitch handles leader c's decision to switch fromCfg → toCfg under
 // staged migration: re-solve (unless StageOnly), then begin the two-wave
 // plan from the pattern the leader was driving to the pattern the
-// (possibly new) strategy prescribes for the target configuration. When a
-// migration is still in flight, the slots it wants up are folded into the
-// old pattern, so the handover never commands down a slot the superseded
-// plan still needs. Returns the strategy the scan should drive.
+// (possibly new) strategy prescribes for the target configuration, and
+// record it. Returns the strategy the scan should drive.
 func (rt *Runtime) stageSwitch(c *controller, fromCfg, toCfg int, now time.Time) *core.Strategy {
-	prev := rt.curStrategy()
+	prev := rt.Strategy()
 	next := prev
 	var nodes int64
 	var warm bool
@@ -185,21 +167,14 @@ func (rt *Runtime) stageSwitch(c *controller, fromCfg, toCfg int, now time.Time)
 			nodes, warm = res.Stats.Nodes, res.WarmStart
 		}
 	}
-	inflight := c.msq.InFlight()
-	for pe := range c.oldPat {
-		for k := range c.oldPat[pe] {
-			c.oldPat[pe][k] = prev.IsActive(fromCfg, pe, k) || (inflight && c.msq.Want(pe, k))
-			c.newPat[pe][k] = next.IsActive(toCfg, pe, k)
-		}
-	}
-	c.msq.Begin(c.oldPat, c.newPat)
+	c.ctl.Switch(prev, fromCfg, next, toCfg)
 	rec := MigrationRecord{
 		Time:         now,
 		Controller:   c.id,
 		FromCfg:      fromCfg,
 		ToCfg:        toCfg,
-		Old:          clonePattern(c.oldPat),
-		New:          clonePattern(c.newPat),
+		Old:          clonePattern(c.ctl.Old()),
+		New:          clonePattern(c.ctl.New()),
 		ResolveNodes: nodes,
 		WarmStart:    warm,
 	}
@@ -208,28 +183,4 @@ func (rt *Runtime) stageSwitch(c *controller, fromCfg, toCfg int, now time.Time)
 	rt.migrations = append(rt.migrations, rec)
 	rt.migMu.Unlock()
 	return next
-}
-
-// beginClaimMigration re-plans a freshly claimed leader's convergence as a
-// staged migration from the empty pattern: the command table was reset by
-// the claim, so the leader first activates (and confirms) every slot the
-// applied configuration's pattern needs, and only then lets the normal
-// scan deactivate the rest. A predecessor crashing mid-migration may have
-// left anything between the old and the union pattern live; activating
-// before deactivating keeps every intermediate state a superset of the
-// target, so the IC floor holds through the takeover too.
-func (rt *Runtime) beginClaimMigration(c *controller) {
-	if c.msq == nil {
-		return
-	}
-	c.msq.Abort()
-	strat := rt.curStrategy()
-	applied := c.mon.Applied()
-	for pe := range c.oldPat {
-		for k := range c.oldPat[pe] {
-			c.oldPat[pe][k] = false
-			c.newPat[pe][k] = strat.IsActive(applied, pe, k)
-		}
-	}
-	c.msq.Begin(c.oldPat, c.newPat)
 }

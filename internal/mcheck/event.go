@@ -24,7 +24,10 @@ const (
 	// EvHeal heals the link between A and B.
 	EvHeal
 	// EvDeliver has leader A transmit the due command for slot B; the
-	// proxy admits it and the acknowledgement (or NACK) returns.
+	// proxy admits it and the acknowledgement (or NACK) returns. Every
+	// command event ends with the leader confirming slot B to its
+	// migration wave; a plain deliver with nothing due just does that
+	// bookkeeping.
 	EvDeliver
 	// EvDropCmd has leader A transmit the due command for slot B, lost
 	// before the proxy.
@@ -32,7 +35,8 @@ const (
 	// EvDropAck has leader A transmit the due command for slot B; the
 	// proxy admits it but the acknowledgement is lost.
 	EvDropAck
-	// EvFlip switches the wanted activation target to configuration A.
+	// EvFlip switches the wanted activation target to configuration A. In
+	// migration mode every leader begins a staged migration to it.
 	EvFlip
 	// EvDupCmd re-delivers a stale duplicate of slot B's last applied
 	// command to its proxy — a retransmission that raced its own
@@ -42,15 +46,6 @@ const (
 	// names their in-flight command exactly. Appended after EvFlip so the
 	// kind integers of serialized repro artifacts stay stable.
 	EvDupCmd
-	// EvFlipStep advances the in-flight staged migration one wave
-	// (Options.Migration only): the activation wave hands over to the
-	// deactivation wave once every replica the new target wants is
-	// confirmed active, and the deactivation wave retires once every
-	// leaver is confirmed inactive. Appended after EvDupCmd so the kind
-	// integers of serialized repro artifacts stay stable.
-	EvFlipStep
-
-	numEventKinds = int(EvFlipStep) + 1
 )
 
 // String names the kind for schedules and artifacts.
@@ -76,8 +71,6 @@ func (k EventKind) String() string {
 		return "flip"
 	case EvDupCmd:
 		return "dup-cmd"
-	case EvFlipStep:
-		return "flip-step"
 	}
 	return fmt.Sprintf("event(%d)", int(k))
 }
@@ -107,8 +100,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("flip(%d)", e.A)
 	case EvDupCmd:
 		return fmt.Sprintf("dup-cmd(slot=%d)", e.B)
-	case EvFlipStep:
-		return "flip-step"
 	}
 	return fmt.Sprintf("%v(%d,%d)", e.Kind, e.A, e.B)
 }
@@ -134,24 +125,16 @@ func (w *world) enabled(e Event) bool {
 			return false
 		}
 		in := &w.insts[e.A]
-		if !in.up || !in.elect.Leading() {
+		if !in.up || !in.ctl.Lease.Leading() {
 			return false
 		}
-		want := w.wantActive(e.B)
-		pe, k := e.B/w.opt.K, e.B%w.opt.K
-		if in.seqr.WouldSend(pe, k, want, w.now) {
-			return true
-		}
-		// A superseded command is cleared without a transmission — only the
-		// plain deliver event models that bookkeeping step.
-		return e.Kind == EvDeliver && in.seqr.Superseded(pe, k, want)
+		transmit, bookkeep := w.slotEvents(in, e.B)
+		return transmit || (e.Kind == EvDeliver && bookkeep)
 	case EvFlip:
 		return (e.A == 0 || e.A == 1) && e.A != w.target
 	case EvDupCmd:
 		// A duplicate needs an applied command to re-deliver.
 		return e.B >= 0 && e.B < len(w.prox) && w.prox[e.B].Seq > 0
-	case EvFlipStep:
-		return w.opt.Migration && w.wave != controlplane.WaveIdle && w.waveConverged()
 	}
 	return false
 }
@@ -164,10 +147,11 @@ func (w *world) apply(e Event) {
 	case EvCrash:
 		in := &w.insts[e.A]
 		in.up = false
-		if in.elect.Leading() {
-			in.elect.StepDown()
-			if w.opt.Fault != FaultCrashKeepsPending {
-				in.seqr.DropPending()
+		if in.ctl.Lease.Leading() {
+			if w.opt.Fault == FaultCrashKeepsPending {
+				in.ctl.Lease.StepDown() // the injected bug: the commands stay in flight
+			} else {
+				in.ctl.StepDown()
 			}
 		}
 	case EvRecover:
@@ -183,23 +167,15 @@ func (w *world) apply(e Event) {
 	case EvDropAck:
 		w.transmit(e.A, e.B, true, false)
 	case EvFlip:
-		if w.opt.Migration {
-			// A flip begins (or supersedes) a staged migration: the previous
-			// target becomes the pattern migrated away from and the activation
-			// wave restarts. With only two targets the superseded plan folds
-			// into the same old ∪ new union, mirroring MigrationSequencer.Begin.
-			w.oldTarget = w.target
-			w.wave = controlplane.WaveActivate
+		strat := strategy{w.opt.Migration}
+		for i := range w.insts {
+			if in := &w.insts[i]; in.ctl.Staged() && in.ctl.Lease.Leading() {
+				in.ctl.Switch(strat, w.target, strat, e.A)
+			}
 		}
 		w.target = e.A
 	case EvDupCmd:
 		w.duplicate(e.B)
-	case EvFlipStep:
-		if w.wave == controlplane.WaveActivate {
-			w.wave = controlplane.WaveDeactivate
-		} else {
-			w.wave = controlplane.WaveIdle
-		}
 	}
 }
 
@@ -221,8 +197,8 @@ func (w *world) duplicate(slot int) {
 	pe, k := slot/w.opt.K, slot%w.opt.K
 	for i := range w.insts {
 		in := &w.insts[i]
-		if in.up && in.elect.Leading() {
-			in.seqr.AckedMatch(pe, k, epoch, seq)
+		if in.up && in.ctl.Lease.Leading() {
+			in.ctl.Seq.AckedMatch(pe, k, epoch, seq)
 		}
 	}
 }
@@ -243,36 +219,33 @@ func (w *world) tick() {
 			if i == j || !dst.up || w.cutAt(i, j) {
 				continue
 			}
-			dst.elect.HearPeer(i, w.now)
-			dst.elect.Observe(src.elect.MaxSeen())
+			dst.ctl.Lease.HearPeer(i, w.now)
+			dst.ctl.Lease.Observe(src.ctl.Lease.MaxSeen())
 		}
 	}
+	strat := strategy{w.opt.Migration}
+	leader := false
 	for i := range w.insts {
 		in := &w.insts[i]
 		if !in.up {
 			continue
 		}
-		switch in.elect.Evaluate(w.now) {
-		case controlplane.LeaseClaim:
-			var epoch uint64
-			if w.opt.Fault == FaultClaimAdoptsSeen {
-				// The injected bug: adopt the watermark verbatim — a ballot
-				// that may be zero or carry another instance's id.
-				s := in.elect.Snapshot()
-				s.Epoch = s.MaxSeen
-				s.Leading = true
-				in.elect.Restore(s)
-				epoch = s.Epoch
-			} else {
-				epoch = in.elect.Claim()
-			}
-			in.seqr.BeginEpoch(epoch)
-		case controlplane.LeaseYield:
-			in.elect.StepDown()
-			in.seqr.DropPending()
+		if w.opt.Fault == FaultClaimAdoptsSeen && in.ctl.Lease.Evaluate(w.now) == controlplane.LeaseClaim {
+			// The injected bug: the claim adopts the watermark verbatim — a
+			// ballot that may be zero or carry another instance's id — and
+			// issues under it.
+			seen := in.ctl.Lease.MaxSeen()
+			in.ctl.Claim(strat, w.target)
+			var s controlplane.ControllerSnapshot
+			in.ctl.SnapshotInto(&s)
+			s.Lease.Epoch, s.Lease.MaxSeen, s.Seq.Epoch = seen, seen, seen
+			in.ctl.Restore(s)
+		} else {
+			in.ctl.Evaluate(w.now, strat, w.target)
 		}
+		leader = leader || in.ctl.Lease.Leading()
 	}
-	if w.anyUpLeader() {
+	if leader {
 		w.fs.Contact(w.now)
 		w.fs.Clear()
 	} else {
@@ -280,43 +253,53 @@ func (w *world) tick() {
 	}
 }
 
-// transmit runs one command transmission for slot from leader inst:
-// reach=false loses the command before the proxy, ack=false loses the
-// acknowledgement (or NACK) on the way back.
+// transmit runs one command step of slot at leader inst: reach=false
+// loses the command before the proxy, ack=false loses the acknowledgement
+// (or NACK) on the way back. The step ends by confirming the slot to the
+// leader's migration wave.
 func (w *world) transmit(inst, slot int, reach, ack bool) {
 	in := &w.insts[inst]
 	pe, k := slot/w.opt.K, slot%w.opt.K
-	want := w.wantActive(slot)
-	cmd, send, _ := in.seqr.Step(pe, k, want, w.now)
-	if !send {
-		return // superseded command cleared without a transmission
+	bare := strategy{w.opt.Migration}.IsActive(w.target, pe, k)
+	var cmd controlplane.Command
+	var send bool
+	if w.opt.Fault == FaultDeactivateFirst {
+		cmd, send, _ = in.ctl.Seq.Step(pe, k, bare, w.now) // the injected bug: no wave gate
+	} else {
+		cmd, send, _ = in.ctl.Command(pe, k, bare, w.now)
 	}
+	if send {
+		w.admit(in, slot, cmd, reach, ack)
+	}
+	in.ctl.Confirm(pe, k)
+}
+
+// admit carries one transmitted command to slot's proxy and its
+// acknowledgement (or NACK) back to the sending instance.
+func (w *world) admit(in *winst, slot int, cmd controlplane.Command, reach, ack bool) {
+	pe, k := slot/w.opt.K, slot%w.opt.K
 	if !reach {
-		in.seqr.Failed(pe, k, w.now)
+		in.ctl.Seq.Failed(pe, k, w.now)
 		return
 	}
 	p := &w.prox[slot]
 	switch p.Admit(cmd.Epoch, cmd.Seq) {
 	case controlplane.CmdApplied:
 		w.active[slot] = cmd.Active
-		if ack {
-			in.seqr.Acked(pe, k)
-		} else {
-			in.seqr.Failed(pe, k, w.now)
-		}
+		fallthrough
 	case controlplane.CmdDuplicate:
 		if ack {
-			in.seqr.Acked(pe, k)
+			in.ctl.Seq.Acked(pe, k)
 		} else {
-			in.seqr.Failed(pe, k, w.now)
+			in.ctl.Seq.Failed(pe, k, w.now)
 		}
 	case controlplane.CmdStale:
 		if ack {
 			// The NACK carries the proxy's adopted ballot; the deposed
 			// leader re-claims above it on its next tick.
-			in.elect.Observe(p.Epoch)
+			in.ctl.Lease.Observe(p.Epoch)
 		}
-		in.seqr.Failed(pe, k, w.now)
+		in.ctl.Seq.Failed(pe, k, w.now)
 	}
 }
 
@@ -347,18 +330,17 @@ func (w *world) appendEnabled(buf []Event) []Event {
 	}
 	for i := range w.insts {
 		in := &w.insts[i]
-		if !in.up || !in.elect.Leading() {
+		if !in.up || !in.ctl.Lease.Leading() {
 			continue
 		}
 		for slot := range w.prox {
-			want := w.wantActive(slot)
-			pe, k := slot/w.opt.K, slot%w.opt.K
-			if in.seqr.WouldSend(pe, k, want, w.now) {
+			transmit, bookkeep := w.slotEvents(in, slot)
+			if transmit {
 				buf = append(buf,
 					Event{Kind: EvDeliver, A: i, B: slot},
 					Event{Kind: EvDropCmd, A: i, B: slot},
 					Event{Kind: EvDropAck, A: i, B: slot})
-			} else if in.seqr.Superseded(pe, k, want) {
+			} else if bookkeep {
 				buf = append(buf, Event{Kind: EvDeliver, A: i, B: slot})
 			}
 		}
@@ -367,9 +349,6 @@ func (w *world) appendEnabled(buf []Event) []Event {
 		if w.prox[slot].Seq > 0 {
 			buf = append(buf, Event{Kind: EvDupCmd, B: slot})
 		}
-	}
-	if w.opt.Migration && w.wave != controlplane.WaveIdle && w.waveConverged() {
-		buf = append(buf, Event{Kind: EvFlipStep})
 	}
 	return buf
 }

@@ -2,9 +2,10 @@
 // control-plane kernel: it explores every interleaving of instance
 // crashes, recoveries, link cuts, command deliveries and losses, target
 // flips and clock ticks over a small deployment of the pure controlplane
-// machines (lease electors, command sequencers, replica proxies, the
-// fail-safe tracker), checking the per-state invariant registry of
-// internal/chaos at every reachable state.
+// machines (controller instances — each a controlplane.Controller with its
+// lease elector, command sequencer and, in migration mode, migration
+// sequencer — replica proxies and the fail-safe tracker), checking the
+// per-state invariant registry of internal/chaos at every reachable state.
 //
 // Tractability comes from canonical state hashing: states are fingerprinted
 // through the machines' time-shift-invariant hashes (heartbeat ages clamped
@@ -42,10 +43,11 @@ const (
 	// instead of re-acknowledging it, rewinding its dedup cursor —
 	// proxy-monotone must fire.
 	FaultDupReapplies
-	// FaultDeactivateFirst swaps the staged-migration wave order: the
-	// activation wave presents the bare new pattern instead of old ∪ new,
-	// so the old primary can be deactivated before its replacement is up —
-	// ic-floor-during-migration must fire. Requires Options.Migration.
+	// FaultDeactivateFirst bypasses the staged-migration wave order: the
+	// leader commands the bare new pattern instead of the Controller's
+	// wave-gated want, so the old primary can be deactivated before its
+	// replacement is up — ic-floor-during-migration must fire. Requires
+	// Options.Migration.
 	FaultDeactivateFirst
 )
 
@@ -98,9 +100,10 @@ type Options struct {
 	FailSafe int64 `json:"failSafe"`
 	// Migration switches the explored world to staged primary-swap
 	// migrations: target 0 wants replica 0 of each PE, target 1 wants
-	// replica 1, and a flip runs the two-wave protocol (activate the
-	// union, then deactivate the leavers) instead of changing wants
-	// instantly. EvFlipStep advances the wave once it has converged.
+	// replica 1, and every leader runs a flip through its Controller's
+	// two-wave protocol (activate the union, then deactivate the leavers)
+	// instead of changing wants instantly. The waves advance on
+	// acknowledged deliveries.
 	Migration bool `json:"migration,omitempty"`
 	// Fault injects a deliberate kernel bug (see Fault).
 	Fault Fault `json:"fault,omitempty"`
@@ -174,9 +177,8 @@ func (o Options) validate() error {
 
 // winst is one controller instance of the explored world.
 type winst struct {
-	up    bool
-	elect *controlplane.LeaseElector
-	seqr  *controlplane.CommandSequencer
+	up  bool
+	ctl *controlplane.Controller
 }
 
 // world is the complete explored state: the controller instances, the
@@ -185,16 +187,12 @@ type winst struct {
 type world struct {
 	opt    Options
 	now    int64
-	target int // wanted configuration: 0 = all active, 1 = only replica 0 of each PE
+	target int // wanted configuration (see strategy)
 	insts  []winst
 	cut    []bool // flattened Instances×Instances link-cut matrix
 	prox   []controlplane.ProxyState
 	active []bool
 	fs     *controlplane.FailSafeTracker[int64]
-	// Staged-migration state (Options.Migration): the wave in flight and
-	// the target being migrated away from. WaveIdle when no migration runs.
-	wave      int
-	oldTarget int
 }
 
 // newWorld builds the initial state: every instance up, all links intact,
@@ -207,55 +205,48 @@ func newWorld(opt Options) *world {
 		prox:   make([]controlplane.ProxyState, opt.PEs*opt.K),
 		active: make([]bool, opt.PEs*opt.K),
 		fs:     controlplane.NewFailSafeTracker[int64](opt.FailSafe, 0),
-		wave:   controlplane.WaveIdle,
 	}
 	policy := controlplane.RetryPolicy{Min: opt.RetryMin, Max: opt.RetryMax}
 	for i := range w.insts {
 		w.insts[i] = winst{
-			up:    true,
-			elect: controlplane.NewLeaseElector(i, opt.Instances, opt.TTL, 0),
-			seqr:  controlplane.NewCommandSequencer(opt.PEs, opt.K, policy),
+			up: true,
+			ctl: controlplane.NewController(
+				controlplane.NewLeaseElector(i, opt.Instances, opt.TTL, 0),
+				controlplane.NewCommandSequencer(opt.PEs, opt.K, policy),
+				opt.Migration),
 		}
 	}
 	return w
 }
 
-// wantActive is the activation strategy. Without Migration, target 0
-// activates every replica and target 1 only replica 0 of each PE — the
-// flip that forces real (de)activation commands through the sequencer.
-// With Migration, the targets are primary swaps (target t wants replica t
-// of each PE) and an in-flight activation wave wants the old ∪ new union
-// — unless FaultDeactivateFirst strips the union down to the bare new
-// pattern, the injected bug that lets a PE go dark mid-migration.
-func (w *world) wantActive(slot int) bool {
-	if !w.opt.Migration {
-		return w.target == 0 || slot%w.opt.K == 0
+// strategy is the explored world's activation strategy. Without
+// Migration, configuration 0 activates every replica and configuration 1
+// only replica 0 of each PE — the flip that forces real (de)activation
+// commands through the sequencer. With Migration, the configurations are
+// primary swaps: configuration c wants replica c of each PE.
+type strategy struct{ migration bool }
+
+func (s strategy) IsActive(cfg, _, k int) bool {
+	if s.migration {
+		return k == cfg
 	}
-	k := slot % w.opt.K
-	if w.wave == controlplane.WaveActivate && w.opt.Fault != FaultDeactivateFirst {
-		return k == w.target || k == w.oldTarget
-	}
-	return k == w.target
+	return cfg == 0 || k == 0
 }
 
-// waveConverged reports the in-flight wave's completion condition: every
-// replica the new target wants is active (activation wave), or every
-// replica it does not want is inactive (deactivation wave).
-func (w *world) waveConverged() bool {
-	for slot := range w.active {
-		inNew := slot%w.opt.K == w.target
-		switch w.wave {
-		case controlplane.WaveActivate:
-			if inNew && !w.active[slot] {
-				return false
-			}
-		case controlplane.WaveDeactivate:
-			if !inNew && w.active[slot] {
-				return false
-			}
-		}
+// slotEvents reports which command events leading instance in has for
+// slot: transmit when a command is due (deliver, drop-cmd and drop-ack
+// are all enabled), bookkeep when only the plain deliver event has work
+// (see Controller.WouldCommand). Under FaultDeactivateFirst the leader
+// steps its sequencer toward the bare target pattern, bypassing the
+// Controller's wave gate.
+func (w *world) slotEvents(in *winst, slot int) (transmit, bookkeep bool) {
+	pe, k := slot/w.opt.K, slot%w.opt.K
+	bare := strategy{w.opt.Migration}.IsActive(w.target, pe, k)
+	if w.opt.Fault == FaultDeactivateFirst {
+		transmit = in.ctl.Seq.WouldSend(pe, k, bare, w.now)
+		return transmit, !transmit && in.ctl.Seq.Superseded(pe, k, bare)
 	}
-	return true
+	return in.ctl.WouldCommand(pe, k, bare, w.now)
 }
 
 // cutAt reads the link matrix.
@@ -267,30 +258,23 @@ func (w *world) setCut(i, j int, v bool) {
 	w.cut[j*w.opt.Instances+i] = v
 }
 
-// anyUpLeader reports whether some up instance currently leads.
-func (w *world) anyUpLeader() bool {
-	for i := range w.insts {
-		if w.insts[i].up && w.insts[i].elect.Leading() {
-			return true
-		}
-	}
-	return false
-}
-
 // fillView projects the world into a chaos.CPView for invariant checking.
 func (w *world) fillView(v *chaos.CPView) {
 	v.Now = w.now
+	v.MigrationWave = controlplane.WaveIdle
 	for i := range w.insts {
 		in := &w.insts[i]
 		v.Instances[i] = chaos.CPInstanceView{
-			Up: in.up, Leading: in.elect.Leading(),
-			Epoch: in.elect.Epoch(), MaxSeen: in.elect.MaxSeen(),
-			SeqEpoch: in.seqr.Epoch(), Pending: in.seqr.Pending(),
+			Up: in.up, Leading: in.ctl.Lease.Leading(),
+			Epoch: in.ctl.Lease.Epoch(), MaxSeen: in.ctl.Lease.MaxSeen(),
+			SeqEpoch: in.ctl.Seq.Epoch(), Pending: in.ctl.Seq.Pending(),
+		}
+		if v.MigrationWave == controlplane.WaveIdle {
+			v.MigrationWave = in.ctl.Wave()
 		}
 	}
 	copy(v.Proxies, w.prox)
 	copy(v.Active, w.active)
-	v.MigrationWave = w.wave
 	v.SlotsPerPE = w.opt.K
 	fs := w.fs.Snapshot()
 	v.FailSafeEngaged, v.FailSafeHorizon, v.FailSafeLastContact = fs.Engaged, fs.Horizon, fs.LastContact
@@ -305,8 +289,7 @@ func (w *world) fingerprint(f *controlplane.Fingerprint) uint64 {
 	for i := range w.insts {
 		in := &w.insts[i]
 		f.Bool(in.up)
-		in.elect.Hash(f, w.now)
-		in.seqr.Hash(f, w.now)
+		in.ctl.Hash(f, w.now)
 	}
 	for _, c := range w.cut {
 		f.Bool(c)
@@ -317,37 +300,27 @@ func (w *world) fingerprint(f *controlplane.Fingerprint) uint64 {
 	for _, a := range w.active {
 		f.Bool(a)
 	}
-	if w.opt.Migration {
-		// Hashed only in migration mode so the fingerprints (and serialized
-		// repro artifacts) of non-migration explorations stay stable.
-		f.I64(int64(w.wave))
-		f.I64(int64(w.oldTarget))
-	}
 	controlplane.HashFailSafe(f, w.fs.Snapshot(), w.now)
 	return f.Sum()
 }
 
 // wsnap is a reusable world snapshot for branch-and-restore exploration.
 type wsnap struct {
-	now       int64
-	target    int
-	wave      int
-	oldTarget int
-	up        []bool
-	elect     []controlplane.LeaseSnapshot
-	seqr      []controlplane.SequencerSnapshot
-	cut       []bool
-	prox      []controlplane.ProxyState
-	active    []bool
-	fs        controlplane.FailSafeSnapshot[int64]
+	now    int64
+	target int
+	up     []bool
+	ctl    []controlplane.ControllerSnapshot
+	cut    []bool
+	prox   []controlplane.ProxyState
+	active []bool
+	fs     controlplane.FailSafeSnapshot[int64]
 }
 
 // newSnap allocates a snapshot sized for the world.
 func newSnap(opt Options) *wsnap {
 	return &wsnap{
 		up:     make([]bool, opt.Instances),
-		elect:  make([]controlplane.LeaseSnapshot, opt.Instances),
-		seqr:   make([]controlplane.SequencerSnapshot, opt.Instances),
+		ctl:    make([]controlplane.ControllerSnapshot, opt.Instances),
 		cut:    make([]bool, opt.Instances*opt.Instances),
 		prox:   make([]controlplane.ProxyState, opt.PEs*opt.K),
 		active: make([]bool, opt.PEs*opt.K),
@@ -357,11 +330,9 @@ func newSnap(opt Options) *wsnap {
 // save captures the world into the snapshot, reusing its buffers.
 func (s *wsnap) save(w *world) {
 	s.now, s.target = w.now, w.target
-	s.wave, s.oldTarget = w.wave, w.oldTarget
 	for i := range w.insts {
 		s.up[i] = w.insts[i].up
-		w.insts[i].elect.SnapshotInto(&s.elect[i])
-		w.insts[i].seqr.SnapshotInto(&s.seqr[i])
+		w.insts[i].ctl.SnapshotInto(&s.ctl[i])
 	}
 	copy(s.cut, w.cut)
 	copy(s.prox, w.prox)
@@ -372,11 +343,9 @@ func (s *wsnap) save(w *world) {
 // restore rewinds the world to the snapshot.
 func (s *wsnap) restore(w *world) {
 	w.now, w.target = s.now, s.target
-	w.wave, w.oldTarget = s.wave, s.oldTarget
 	for i := range w.insts {
 		w.insts[i].up = s.up[i]
-		w.insts[i].elect.Restore(s.elect[i])
-		w.insts[i].seqr.Restore(s.seqr[i])
+		w.insts[i].ctl.Restore(s.ctl[i])
 	}
 	copy(w.cut, s.cut)
 	copy(w.prox, s.prox)

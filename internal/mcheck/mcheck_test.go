@@ -237,18 +237,18 @@ func TestDuplicationIsHarmless(t *testing.T) {
 		}
 	}
 	in := &w.insts[0]
-	if in.seqr.Pending() != 1 {
-		t.Fatalf("pending = %d after the lost deactivation ack, want 1", in.seqr.Pending())
+	if in.ctl.Seq.Pending() != 1 {
+		t.Fatalf("pending = %d after the lost deactivation ack, want 1", in.ctl.Seq.Pending())
 	}
 	// Duplicate of slot 0's old command: its re-ack names slot 0, not the
 	// in-flight deactivation of slot 1 — pending must not move.
 	w.apply(Event{Kind: EvDupCmd, B: 0})
-	if in.seqr.Pending() != 1 {
-		t.Fatalf("a stale duplicate re-ack completed a newer command (pending = %d)", in.seqr.Pending())
+	if in.ctl.Seq.Pending() != 1 {
+		t.Fatalf("a stale duplicate re-ack completed a newer command (pending = %d)", in.ctl.Seq.Pending())
 	}
 	w.apply(Event{Kind: EvDupCmd, B: 1})
-	if in.seqr.Pending() != 0 {
-		t.Fatalf("the matching re-ack did not complete the command (pending = %d)", in.seqr.Pending())
+	if in.ctl.Seq.Pending() != 0 {
+		t.Fatalf("the matching re-ack did not complete the command (pending = %d)", in.ctl.Seq.Pending())
 	}
 }
 

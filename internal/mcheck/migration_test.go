@@ -113,8 +113,9 @@ func TestShrinkDeactivateFirstFault(t *testing.T) {
 }
 
 // TestMigrationStagingIsSafe pins the exact happy-path schedule: a full
-// staged migration — activate the joiner, advance the wave, deactivate
-// the leaver, retire the wave — replays clean and ends with only the new
+// staged migration through the Controller — activate the joiner, whose
+// acknowledgement advances the wave, then deactivate the leaver, whose
+// acknowledgement retires it — replays clean and ends with only the new
 // primary active.
 func TestMigrationStagingIsSafe(t *testing.T) {
 	opt := migrationOptions()
@@ -123,10 +124,8 @@ func TestMigrationStagingIsSafe(t *testing.T) {
 		{Kind: EvTick},                // elects instance 0
 		{Kind: EvDeliver, A: 0, B: 0}, // slot 0 (old primary) activates
 		{Kind: EvFlip, A: 1},          // begin staged migration 0 → 1
-		{Kind: EvDeliver, A: 0, B: 1}, // activation wave: slot 1 joins
-		{Kind: EvFlipStep},            // union converged → deactivation wave
-		{Kind: EvDeliver, A: 0, B: 0}, // slot 0 retires, slot 1 still active
-		{Kind: EvFlipStep},            // wave retires: migration complete
+		{Kind: EvDeliver, A: 0, B: 1}, // slot 1 joins → deactivation wave
+		{Kind: EvDeliver, A: 0, B: 0}, // slot 0 retires → migration complete
 	}
 	vs, at, err := Replay(opt, events)
 	if err != nil {
@@ -146,7 +145,7 @@ func TestMigrationStagingIsSafe(t *testing.T) {
 	if w.active[0] || !w.active[1] {
 		t.Fatalf("post-migration activation = %v, want only slot 1", w.active)
 	}
-	if w.wave != controlplane.WaveIdle {
-		t.Fatalf("migration did not retire (wave %d)", w.wave)
+	if wave := w.insts[0].ctl.Wave(); wave != controlplane.WaveIdle {
+		t.Fatalf("migration did not retire (wave %d)", wave)
 	}
 }

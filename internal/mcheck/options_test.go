@@ -67,7 +67,6 @@ func TestRenderers(t *testing.T) {
 		{Event{Kind: EvDropAck, A: 0, B: 0}, "drop-ack(inst=0,slot=0)"},
 		{Event{Kind: EvFlip, A: 1}, "flip(1)"},
 		{Event{Kind: EvDupCmd, B: 1}, "dup-cmd(slot=1)"},
-		{Event{Kind: EvFlipStep}, "flip-step"},
 	}
 	for _, tc := range cases {
 		if got := tc.e.String(); got != tc.want {

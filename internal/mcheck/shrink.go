@@ -140,31 +140,8 @@ func remapSlots(events []Event, oldK, newPEs, newK int) []Event {
 // set of stable codes — the identity the model shrinker preserves.
 func modelSignature(mr *chaos.ModelResult) map[string]bool {
 	sig := map[string]bool{}
-	if len(mr.DupEpochs) > 0 {
-		sig["dup-epochs"] = true
-	}
-	if mr.Leader < 0 {
-		sig["no-leader"] = true
-	} else if len(mr.BelievedLeaders) != 1 {
-		sig["multi-leader"] = true
-	}
-	if mr.PendingCommands != 0 {
-		sig["pending-commands"] = true
-	}
-	if len(mr.ActiveMismatches) > 0 {
-		sig["active-mismatch"] = true
-	}
-	if len(mr.EpochLags) > 0 {
-		sig["epoch-lag"] = true
-	}
-	if mr.FailSafeExpected && !mr.FailSafeObserved {
-		sig["failsafe-missing"] = true
-	}
-	if !mr.FailSafeCleared {
-		sig["failsafe-stuck"] = true
-	}
-	for _, v := range mr.StepViolations {
-		sig["state:"+v.Invariant] = true
+	for _, code := range mr.FailureCodes() {
+		sig[code] = true
 	}
 	return sig
 }

@@ -1,13 +1,14 @@
 package netx
 
 import (
-	"sync"
 	"time"
+
+	"laar/internal/clock"
 )
 
 // Clock supplies time to the reconnect loop: Now stamps connection ages
 // (the backoff reset rule) and After schedules redial and keepalive waits.
-// The default wall clock is the production path; tests inject a FakeClock
+// The default wall clock is the production path; tests inject a clock.Fake
 // so backoff schedules are asserted deterministically without sleeping.
 type Clock interface {
 	// Now returns the current time.
@@ -16,99 +17,5 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 }
 
-// wallClock is the production clock backed by package time.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time                         { return time.Now() }
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // WallClock returns the real-time clock.
-func WallClock() Clock { return wallClock{} }
-
-// FakeClock is a manually advanced Clock for deterministic reconnect and
-// keepalive tests. Time only moves when Advance is called; After waiters
-// fire in deadline order as the clock sweeps past them.
-type FakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*fakeWaiter
-}
-
-type fakeWaiter struct {
-	at time.Time
-	ch chan time.Time
-}
-
-// NewFakeClock returns a fake clock starting at origin.
-func NewFakeClock(origin time.Time) *FakeClock {
-	return &FakeClock{now: origin}
-}
-
-// Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// After implements Clock. A non-positive d fires on the next Advance (or
-// immediately at the current time), matching time.After's "already due"
-// behaviour closely enough for scheduling loops.
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := &fakeWaiter{at: c.now.Add(d), ch: make(chan time.Time, 1)}
-	if !w.at.After(c.now) {
-		w.ch <- c.now
-	} else {
-		c.waiters = append(c.waiters, w)
-	}
-	return w.ch
-}
-
-// Waiters reports how many After channels are still pending — tests use
-// it to know a scheduling loop has parked before advancing time.
-func (c *FakeClock) Waiters() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
-// Advance moves the clock forward by d, firing every due waiter in
-// deadline order. After each batch of deliveries it briefly yields the
-// processor so woken goroutines run before time moves further — the same
-// discipline live.FakeClock uses.
-func (c *FakeClock) Advance(d time.Duration) {
-	if d < 0 {
-		panic("netx: advancing fake clock backwards")
-	}
-	c.mu.Lock()
-	target := c.now.Add(d)
-	for {
-		// Earliest pending deadline at or before the target.
-		var next *fakeWaiter
-		for _, w := range c.waiters {
-			if !w.at.After(target) && (next == nil || w.at.Before(next.at)) {
-				next = w
-			}
-		}
-		if next == nil {
-			break
-		}
-		c.now = next.at
-		kept := c.waiters[:0]
-		for _, w := range c.waiters {
-			if !w.at.After(c.now) {
-				w.ch <- c.now
-			} else {
-				kept = append(kept, w)
-			}
-		}
-		c.waiters = kept
-		c.mu.Unlock()
-		time.Sleep(50 * time.Microsecond)
-		c.mu.Lock()
-	}
-	c.now = target
-	c.mu.Unlock()
-}
+func WallClock() Clock { return clock.Wall{} }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"laar/internal/clock"
 )
 
 func recvTime(t *testing.T, ch <-chan time.Time) time.Time {
@@ -21,7 +23,7 @@ func recvTime(t *testing.T, ch <-chan time.Time) time.Time {
 
 // waitParked spins until the maintainer has registered its backoff wait
 // on the fake clock, so an Advance cannot race past the registration.
-func waitParked(t *testing.T, clk *FakeClock) {
+func waitParked(t *testing.T, clk *clock.Fake) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for clk.Waiters() == 0 {
@@ -47,7 +49,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // a dialer that always fails and asserts the exact capped-exponential
 // redial schedule.
 func TestConnBackoffTiming(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFake(time.Unix(0, 0))
 	attempts := make(chan time.Time, 64)
 	c := Dial("nowhere", ConnOptions{
 		Clock: clk,
@@ -88,7 +90,7 @@ func TestConnBackoffTiming(t *testing.T) {
 // that survives past StableAfter resets the schedule (immediate redial),
 // while one that dies young pays the Min wait again.
 func TestConnStableResetsBackoff(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
+	clk := clock.NewFake(time.Unix(0, 0))
 	attempts := make(chan time.Time, 64)
 	connected := make(chan struct{}, 16)
 	var mu sync.Mutex
